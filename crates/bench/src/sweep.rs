@@ -10,7 +10,7 @@
 
 use crate::configs::DetectorConfig;
 use crate::obs::ObsSink;
-use cord_core::{Detector, DetectorSink, LatencyObserver, ObsCtx, SinkObserver};
+use cord_core::{DetectorSink, LatencyObserver, ObsCtx, SinkObserver};
 use cord_inject::{Campaign, InjectionTarget};
 use cord_json::{obj, FromJson, Json, JsonError, ToJson};
 use cord_obs::{MetricsRegistry, TraceHandle};

@@ -14,7 +14,7 @@
 //! GOLDEN_UPDATE=1 cargo test -p cord-bench --test golden_determinism
 //! ```
 
-use cord_core::{encode_log, CordConfig, CordDetector, Detector};
+use cord_core::{encode_log, CordConfig, CordDetector, DetectorSink};
 use cord_detectors::{IdealDetector, VcConfig, VcLimitedDetector};
 use cord_json::{obj, Json, ToJson};
 use cord_obs::MetricsRegistry;
@@ -61,7 +61,7 @@ fn cord_cell(w: &cord_trace::program::Workload, seed: u64, plan: InjectionPlan) 
 }
 
 /// Race count of one comparison detector on the same run.
-fn races_of<D: Detector + cord_sim::observer::MemoryObserver>(
+fn races_of<D: DetectorSink>(
     machine: MachineConfig,
     w: &cord_trace::program::Workload,
     det: D,

@@ -363,30 +363,6 @@ impl CordDetector {
     }
 }
 
-/// The object-safe face shared by every race detector the experiment
-/// harness can attach to a [`Machine`](cord_sim::engine::Machine):
-/// a [`MemoryObserver`] that can report how many data races it found.
-///
-/// `Send` is a supertrait so a `Box<dyn Detector>` can be built on one
-/// thread and executed on a sweep worker — the parallel injection
-/// executor constructs detectors through
-/// `DetectorConfig::build_sink` and fans the runs across a pool.
-///
-/// Observability wiring (trace handle in, metrics out) is no longer
-/// part of this trait: the trace handle arrives at construction time
-/// via [`crate::sink::ObsCtx`], and metrics leave through
-/// [`crate::sink::DetectorSink::drain`].
-pub trait Detector: MemoryObserver + Send {
-    /// Number of data races reported so far.
-    fn race_count(&self) -> u64;
-}
-
-impl Detector for CordDetector {
-    fn race_count(&self) -> u64 {
-        self.races.len() as u64
-    }
-}
-
 /// Stable serialization of a race report, used by
 /// [`crate::sink::SinkReport`] for the capture→replay byte-identity
 /// contract. Kind names match the wire JSON codec
@@ -411,8 +387,8 @@ impl cord_json::ToJson for RaceReport {
 }
 
 impl crate::sink::DetectorSink for CordDetector {
-    fn ingest(&mut self, ev: &cord_obs::StreamEvent) -> ObserverOutcome {
-        crate::sink::apply_stream_event(self, ev)
+    fn race_count(&self) -> u64 {
+        self.races.len() as u64
     }
 
     fn drain(&mut self) -> crate::sink::SinkReport {

@@ -7,7 +7,7 @@ use crate::error::CordError;
 use crate::record::LogEntry;
 use crate::replay::{replay_and_verify, ReplayReport};
 use cord_sim::config::MachineConfig;
-use cord_sim::engine::{InjectionPlan, Machine, RunOutput, SimError};
+use cord_sim::engine::{InjectionPlan, Machine, RunOutput};
 use cord_sim::observer::NullObserver;
 use cord_trace::program::Workload;
 
@@ -184,10 +184,6 @@ impl ExperimentHarness {
     }
 }
 
-/// Re-exported so harness users can match on deadlocks without importing
-/// `cord-sim` directly.
-pub type HarnessSimError = SimError;
-
 // Compile-time Send/Sync audit: the parallel sweep executor builds
 // harnesses, detectors, and outcomes on one thread and runs or collects
 // them on pool workers. If a non-Send field ever sneaks into one of
@@ -201,7 +197,6 @@ fn _thread_safety_audit() {
     sync::<ExperimentHarness>();
     send::<CordOutcome>();
     send::<crate::detector::CordDetector>();
-    send::<Box<dyn crate::detector::Detector>>();
     send::<CordError>();
     sync::<CordError>();
 }

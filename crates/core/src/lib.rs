@@ -63,7 +63,7 @@ pub mod shadow;
 pub mod sink;
 
 pub use config::CordConfig;
-pub use detector::{CordDetector, CordStats, Detector, RaceReport};
+pub use detector::{CordDetector, CordStats, RaceReport};
 pub use error::CordError;
 pub use harness::{CordOutcome, ExperimentHarness};
 pub use history::{HistEntry, LineHistory};
@@ -78,6 +78,11 @@ pub use sink::{
     apply_stream_event, CaptureObserver, DetectorSink, LatencyObserver, ObsCtx, SinkObserver,
     SinkReport,
 };
+
+/// The detector trait under its older name, kept for the separate
+/// `cord-benchmark` package (`benchmark/`), which imports it for
+/// `race_count`. Code in this workspace names [`DetectorSink`].
+pub use sink::DetectorSink as Detector;
 
 /// One-stop imports for experiment code.
 ///
@@ -102,7 +107,7 @@ pub use sink::{
 /// ```
 pub mod prelude {
     pub use crate::config::CordConfig;
-    pub use crate::detector::{CordDetector, CordStats, Detector, RaceReport};
+    pub use crate::detector::{CordDetector, CordStats, RaceReport};
     pub use crate::error::CordError;
     pub use crate::harness::{CordOutcome, ExperimentHarness};
     pub use crate::replay::{replay_and_verify, ReplayError, ReplayReport};

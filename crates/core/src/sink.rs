@@ -1,14 +1,14 @@
 //! Detectors as event-stream sinks.
 //!
-//! The redesigned ingestion surface: a detector is a [`DetectorSink`]
-//! that consumes [`StreamEvent`]s one at a time, regardless of whether
-//! they come from a live simulator, a capture file, or a socket. The
-//! Machine-coupled path is a thin adapter — [`SinkObserver`] turns the
-//! `MemoryObserver` callback stream into `StreamEvent`s — so inline
-//! detection and stream replay execute the *same* detector code on the
-//! *same* event sequence. That is what makes the capture→replay
-//! byte-identity contract (enforced by the cord-fuzz oracle and the
-//! cord-serve smoke) meaningful rather than aspirational.
+//! A detector is a [`DetectorSink`]: a `MemoryObserver` that can also
+//! consume [`StreamEvent`]s one at a time, whether they come from a
+//! live simulator, a capture file, or a socket. The Machine-coupled
+//! path is a thin adapter — [`SinkObserver`] forwards each callback to
+//! the sink — and [`DetectorSink::ingest`] routes each reified event to
+//! the same callback, so inline detection and stream replay execute the
+//! *same* detector code on the *same* event sequence. That is what
+//! makes the capture→replay byte-identity contract (enforced by the
+//! cord-fuzz oracle and the cord-serve smoke) hold by construction.
 //!
 //! * [`ObsCtx`] — observability wiring handed to
 //!   `DetectorConfig::build_sink()` at construction time, replacing the
@@ -106,59 +106,29 @@ impl FromJson for SinkReport {
     }
 }
 
-/// A race detector as an event-stream sink — the ingestion surface
-/// shared by inline simulation, capture replay, and the cord-serve
-/// daemon.
+/// A race detector: a [`MemoryObserver`] that can also consume reified
+/// [`StreamEvent`]s and report what it found. This is the one detector
+/// trait, shared by inline simulation, capture replay, and the
+/// cord-serve daemon.
 ///
-/// `Send` is a supertrait for the same reason it is on
-/// [`Detector`](crate::Detector): sinks are built on one thread and
+/// Inline detection calls the `MemoryObserver` callbacks directly (via
+/// [`SinkObserver`]); replay calls [`DetectorSink::ingest`], which
+/// routes each event to the same callbacks through
+/// [`apply_stream_event`]. Both routes therefore make the same calls in
+/// the same order, which is what the capture→replay byte-identity
+/// contract rests on.
+///
+/// `Send` is a supertrait because sinks are built on one thread and
 /// driven on another (sweep workers, daemon sessions).
-pub trait DetectorSink: Send {
+pub trait DetectorSink: MemoryObserver + Send {
+    /// Number of data races reported so far.
+    fn race_count(&self) -> u64;
+
     /// Consumes one event, returning any extra bus work it caused (only
     /// meaningful to a live simulator; replay drivers ignore it).
-    fn ingest(&mut self, ev: &StreamEvent) -> ObserverOutcome;
-
-    /// Inline fast path for [`StreamEvent::Access`]: consumes the
-    /// access without reifying it as a `StreamEvent`.
-    ///
-    /// The provided default routes through [`DetectorSink::ingest`], so
-    /// any sink is correct out of the box; sinks on the simulator's
-    /// per-access hot path override these `ingest_*` methods to
-    /// dispatch straight to their callback handlers. Overrides must
-    /// stay observationally identical to the default — inline
-    /// detection and capture replay are required to produce
-    /// bit-identical reports.
     #[inline]
-    fn ingest_access(&mut self, ev: &AccessEvent) -> ObserverOutcome {
-        self.ingest(&StreamEvent::Access(*ev))
-    }
-
-    /// Inline fast path for [`StreamEvent::LineFilled`].
-    #[inline]
-    fn ingest_line_filled(&mut self, core: CoreId, level: Level, line: LineAddr) {
-        self.ingest(&StreamEvent::LineFilled { core, level, line });
-    }
-
-    /// Inline fast path for [`StreamEvent::LineRemoved`].
-    #[inline]
-    fn ingest_line_removed(&mut self, removal: &LineRemoval) -> ObserverOutcome {
-        self.ingest(&StreamEvent::LineRemoved(*removal))
-    }
-
-    /// Inline fast path for [`StreamEvent::ThreadMigrated`].
-    #[inline]
-    fn ingest_thread_migrated(&mut self, thread: ThreadId, from: CoreId, to: CoreId) {
-        self.ingest(&StreamEvent::ThreadMigrated { thread, from, to });
-    }
-
-    /// Inline fast path for [`StreamEvent::RunEnd`]. The default pays
-    /// the `instr_counts` clone the wire event requires; overrides
-    /// hand the slice to the detector directly.
-    #[inline]
-    fn ingest_run_end(&mut self, instr_counts: &[u64]) {
-        self.ingest(&StreamEvent::RunEnd {
-            instr_counts: instr_counts.to_vec(),
-        });
+    fn ingest(&mut self, ev: &StreamEvent) -> ObserverOutcome {
+        apply_stream_event(self, ev)
     }
 
     /// A synchronization point: any buffered work must be applied
@@ -169,40 +139,6 @@ pub trait DetectorSink: Send {
     /// Produces the race report accumulated so far. Does not reset the
     /// sink; draining twice yields the same report.
     fn drain(&mut self) -> SinkReport;
-}
-
-impl<S: DetectorSink + ?Sized> DetectorSink for Box<S> {
-    fn ingest(&mut self, ev: &StreamEvent) -> ObserverOutcome {
-        (**self).ingest(ev)
-    }
-
-    fn ingest_access(&mut self, ev: &AccessEvent) -> ObserverOutcome {
-        (**self).ingest_access(ev)
-    }
-
-    fn ingest_line_filled(&mut self, core: CoreId, level: Level, line: LineAddr) {
-        (**self).ingest_line_filled(core, level, line)
-    }
-
-    fn ingest_line_removed(&mut self, removal: &LineRemoval) -> ObserverOutcome {
-        (**self).ingest_line_removed(removal)
-    }
-
-    fn ingest_thread_migrated(&mut self, thread: ThreadId, from: CoreId, to: CoreId) {
-        (**self).ingest_thread_migrated(thread, from, to)
-    }
-
-    fn ingest_run_end(&mut self, instr_counts: &[u64]) {
-        (**self).ingest_run_end(instr_counts)
-    }
-
-    fn flush(&mut self) {
-        (**self).flush()
-    }
-
-    fn drain(&mut self) -> SinkReport {
-        (**self).drain()
-    }
 }
 
 /// Dispatches one reified event to the matching [`MemoryObserver`]
@@ -232,17 +168,11 @@ pub fn apply_stream_event<O: MemoryObserver + ?Sized>(
     }
 }
 
-/// The thin adapter that keeps the `Machine` path on the sink API: a
-/// [`MemoryObserver`] that feeds each callback to the wrapped sink.
-/// Inline detection is therefore *defined* as replaying the callback
-/// stream through the sink — the same event sequence a capture replay
-/// drives through [`DetectorSink::ingest`].
-///
-/// Dispatch goes through the sink's `ingest_*` fast-path methods, so a
-/// sink that overrides them (the concrete `DetectorEnum` does) pays no
-/// `StreamEvent` reification on the inline path; stream-driven sinks
-/// fall back to the provided defaults, which reify and route through
-/// [`DetectorSink::ingest`] exactly as this adapter used to.
+/// The thin adapter that attaches a sink to a `Machine`: each observer
+/// callback goes straight to the sink's own `MemoryObserver` method,
+/// and the run's end also calls [`DetectorSink::flush`]. Replaying a
+/// capture through [`DetectorSink::ingest`] makes the same calls in the
+/// same order.
 #[derive(Debug)]
 pub struct SinkObserver<S> {
     sink: S,
@@ -273,26 +203,26 @@ impl<S> SinkObserver<S> {
 impl<S: DetectorSink> MemoryObserver for SinkObserver<S> {
     #[inline]
     fn on_access(&mut self, ev: &AccessEvent) -> ObserverOutcome {
-        self.sink.ingest_access(ev)
+        self.sink.on_access(ev)
     }
 
     #[inline]
     fn on_line_filled(&mut self, core: CoreId, level: Level, line: LineAddr) {
-        self.sink.ingest_line_filled(core, level, line);
+        self.sink.on_line_filled(core, level, line);
     }
 
     #[inline]
     fn on_line_removed(&mut self, removal: &LineRemoval) -> ObserverOutcome {
-        self.sink.ingest_line_removed(removal)
+        self.sink.on_line_removed(removal)
     }
 
     #[inline]
     fn on_thread_migrated(&mut self, thread: ThreadId, from: CoreId, to: CoreId) {
-        self.sink.ingest_thread_migrated(thread, from, to);
+        self.sink.on_thread_migrated(thread, from, to);
     }
 
     fn on_run_end(&mut self, final_instr_counts: &[u64]) {
-        self.sink.ingest_run_end(final_instr_counts);
+        self.sink.on_run_end(final_instr_counts);
         self.sink.flush();
     }
 }
@@ -447,29 +377,48 @@ mod tests {
     use cord_obs::AccessKind;
     use cord_trace::types::Addr;
 
-    /// A sink that counts what it ingested.
-    struct CountingSink {
-        events: u64,
-        accesses: u64,
-        flushed: bool,
+    /// A sink that logs every callback it receives, in order.
+    #[derive(Default)]
+    struct LoggingSink {
+        calls: Vec<&'static str>,
     }
 
-    impl DetectorSink for CountingSink {
-        fn ingest(&mut self, ev: &StreamEvent) -> ObserverOutcome {
-            self.events += 1;
-            if matches!(ev, StreamEvent::Access(_)) {
-                self.accesses += 1;
-            }
+    impl MemoryObserver for LoggingSink {
+        fn on_access(&mut self, _ev: &AccessEvent) -> ObserverOutcome {
+            self.calls.push("access");
             ObserverOutcome::NONE
         }
 
+        fn on_line_filled(&mut self, _core: CoreId, _level: Level, _line: LineAddr) {
+            self.calls.push("filled");
+        }
+
+        fn on_line_removed(&mut self, _removal: &LineRemoval) -> ObserverOutcome {
+            self.calls.push("removed");
+            ObserverOutcome::NONE
+        }
+
+        fn on_thread_migrated(&mut self, _thread: ThreadId, _from: CoreId, _to: CoreId) {
+            self.calls.push("migrated");
+        }
+
+        fn on_run_end(&mut self, _final_instr_counts: &[u64]) {
+            self.calls.push("run_end");
+        }
+    }
+
+    impl DetectorSink for LoggingSink {
+        fn race_count(&self) -> u64 {
+            0
+        }
+
         fn flush(&mut self) {
-            self.flushed = true;
+            self.calls.push("flush");
         }
 
         fn drain(&mut self) -> SinkReport {
-            let mut r = SinkReport::new("counting");
-            r.metrics.add("test.events", self.events);
+            let mut r = SinkReport::new("logging");
+            r.metrics.add("test.calls", self.calls.len() as u64);
             r
         }
     }
@@ -487,12 +436,8 @@ mod tests {
     }
 
     #[test]
-    fn sink_observer_reifies_every_callback() {
-        let mut obs = SinkObserver::new(CountingSink {
-            events: 0,
-            accesses: 0,
-            flushed: false,
-        });
+    fn sink_observer_forwards_every_callback_then_flushes() {
+        let mut obs = SinkObserver::new(LoggingSink::default());
         obs.on_access(&access(0x40));
         obs.on_line_filled(CoreId(1), Level::L2, LineAddr(3));
         obs.on_line_removed(&LineRemoval {
@@ -504,10 +449,11 @@ mod tests {
         });
         obs.on_thread_migrated(ThreadId(0), CoreId(0), CoreId(1));
         obs.on_run_end(&[5, 5]);
-        let sink = obs.into_inner();
-        assert_eq!(sink.events, 5);
-        assert_eq!(sink.accesses, 1);
-        assert!(sink.flushed, "on_run_end must flush the sink");
+        assert_eq!(
+            obs.into_inner().calls,
+            ["access", "filled", "removed", "migrated", "run_end", "flush"],
+            "each callback forwarded once, in order, and run end flushes"
+        );
     }
 
     #[test]
@@ -521,42 +467,24 @@ mod tests {
         assert!(matches!(events[1], StreamEvent::RunEnd { .. }));
     }
 
-    impl CountingSink {
-        fn fresh() -> Self {
-            CountingSink {
-                events: 0,
-                accesses: 0,
-                flushed: false,
-            }
-        }
-    }
-
     #[test]
-    fn captured_events_replay_identically_through_apply() {
+    fn captured_events_replay_identically_through_ingest() {
         // Capture a short callback sequence, then replay it through a
-        // fresh sink via apply_stream_event: the sink must see the same
-        // event count as one driven live through SinkObserver.
-        let mut cap = CaptureObserver::new(cord_obs::NullObserver);
+        // fresh sink via the provided `ingest`: the sink must receive
+        // the same callbacks as one driven live through SinkObserver.
+        let mut cap = CaptureObserver::new(SinkObserver::new(LoggingSink::default()));
         cap.on_access(&access(0x40));
         cap.on_line_filled(CoreId(0), Level::L1, LineAddr(1));
         cap.on_run_end(&[1]);
-        let (_, events) = cap.into_parts();
+        let (live, events) = cap.into_parts();
 
-        let mut live = SinkObserver::new(CountingSink::fresh());
-        live.on_access(&access(0x40));
-        live.on_line_filled(CoreId(0), Level::L1, LineAddr(1));
-        live.on_run_end(&[1]);
-
-        let mut replayed = CountingSink::fresh();
+        let mut replayed = LoggingSink::default();
         for ev in &events {
             replayed.ingest(ev);
         }
         replayed.flush();
 
-        let live = live.into_inner();
-        assert_eq!(replayed.events, live.events);
-        assert_eq!(replayed.accesses, live.accesses);
-        assert_eq!(replayed.flushed, live.flushed);
+        assert_eq!(replayed.calls, live.into_inner().calls);
     }
 
     #[test]

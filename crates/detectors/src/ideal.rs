@@ -140,12 +140,6 @@ impl IdealDetector {
     }
 }
 
-impl cord_core::Detector for IdealDetector {
-    fn race_count(&self) -> u64 {
-        self.data_race_count()
-    }
-}
-
 impl cord_json::ToJson for IdealRace {
     fn to_json(&self) -> cord_json::Json {
         cord_json::obj(vec![
@@ -169,8 +163,8 @@ impl cord_json::ToJson for IdealRace {
 }
 
 impl cord_core::DetectorSink for IdealDetector {
-    fn ingest(&mut self, ev: &cord_obs::StreamEvent) -> ObserverOutcome {
-        cord_core::apply_stream_event(self, ev)
+    fn race_count(&self) -> u64 {
+        self.data_race_count()
     }
 
     fn drain(&mut self) -> cord_core::SinkReport {

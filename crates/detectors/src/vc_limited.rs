@@ -188,12 +188,6 @@ impl VcLimitedDetector {
     }
 }
 
-impl cord_core::Detector for VcLimitedDetector {
-    fn race_count(&self) -> u64 {
-        self.data_race_count()
-    }
-}
-
 impl cord_json::ToJson for VcRace {
     fn to_json(&self) -> cord_json::Json {
         cord_json::obj(vec![
@@ -213,8 +207,8 @@ impl cord_json::ToJson for VcRace {
 }
 
 impl cord_core::DetectorSink for VcLimitedDetector {
-    fn ingest(&mut self, ev: &cord_obs::StreamEvent) -> ObserverOutcome {
-        cord_core::apply_stream_event(self, ev)
+    fn race_count(&self) -> u64 {
+        self.data_race_count()
     }
 
     fn drain(&mut self) -> cord_core::SinkReport {

@@ -2,7 +2,7 @@
 
 use crate::protocol::{encode_response, encode_response_bytes, Query, ServeError, FRAME_QUERY};
 use cord_core::{DetectorSink, ObsCtx};
-use cord_detectors::DetectorConfig;
+use cord_detectors::{DetectorConfig, DetectorEnum};
 use cord_json::durable::{self, RecoveryEvent};
 use cord_json::{obj, Json, ToJson};
 use cord_obs::wire::{decode_events, read_frame, write_frame, FRAME_EVENTS, FRAME_HEADER};
@@ -167,7 +167,7 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) -> Result<(), Ser
     match first.split_first() {
         Some((&FRAME_HEADER, _)) => {
             let header = StreamHeader::decode(&first)?;
-            ingest_session(header, reader, stream, shared)
+            stream_session(header, reader, stream, shared)
         }
         Some((&FRAME_QUERY, _)) => {
             let q = Query::decode(&first)?;
@@ -179,7 +179,7 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) -> Result<(), Ser
     }
 }
 
-fn ingest_session(
+fn stream_session(
     header: StreamHeader,
     mut reader: BufReader<UnixStream>,
     stream: UnixStream,
@@ -241,7 +241,7 @@ fn session_worker(
 ) {
     let geometry = &header.geometry;
     let shards = shared.cfg.shards.max(1);
-    let mut sink = config.build_boxed_sink(
+    let mut sink = config.build_sink(
         geometry.threads as usize,
         geometry.cores as usize,
         header.seed,
@@ -339,7 +339,7 @@ fn record_report(
 /// so the document is deterministic.
 fn write_snapshot(
     header: &StreamHeader,
-    sink: &mut Box<dyn DetectorSink>,
+    sink: &mut DetectorEnum,
     events: u64,
     shard_events: &[u64],
     pool: &Pool,

@@ -161,4 +161,9 @@ awk -v best="$best_ns" -v base="$base_ns" 'BEGIN {
     exit !(ratio <= 1.20)
 }'
 
+echo "== benchmark smoke: the separate benchmark package builds, lints, tests, and reproduces its digests =="
+# benchmark/ is a workspace of its own that builds against crates/ by
+# path, so the steps above never compile it.
+benchmark/check.sh --smoke
+
 echo "ci: all green"

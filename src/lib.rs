@@ -7,7 +7,7 @@
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
-//! * [`clocks`] — scalar / Lamport / vector logical clocks, the 16-bit
+//! * [`clocks`] — scalar / vector logical clocks, the 16-bit
 //!   sliding-window comparison, and the D-window update policy.
 //! * [`trace`] — the thread-program model (memory ops + synchronization
 //!   primitives) that workloads compile to and the simulator executes.
