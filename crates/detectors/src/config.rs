@@ -11,6 +11,7 @@
 //! [`DetectorConfig::from_label`].
 
 use crate::{IdealDetector, VcConfig, VcLimitedDetector};
+use cord_clocks::window16::WINDOW;
 use cord_core::{CordConfig, CordDetector, DetectorSink, ObsCtx, SinkReport};
 use cord_sim::config::MachineConfig;
 use cord_sim::observer::{
@@ -63,7 +64,11 @@ impl DetectorConfig {
     /// The inverse of [`DetectorConfig::label`]: resolves a label (as
     /// carried in a [`cord_obs::StreamHeader`]) back to the
     /// configuration, so a daemon can build the right sink for a
-    /// captured stream.
+    /// captured stream. Resolves only labels that
+    /// [`DetectorConfig::build_sink`] can build: a CORD label must spell
+    /// its `D` canonically (no leading zeros or sign, so the report names
+    /// the header's label) and keep it in `1..WINDOW`, the range the
+    /// 16-bit clock comparisons allow.
     pub fn from_label(label: &str) -> Option<DetectorConfig> {
         match label {
             "InfCache" => Some(DetectorConfig::VcInfCache),
@@ -72,8 +77,9 @@ impl DetectorConfig {
             "Ideal" => Some(DetectorConfig::Ideal),
             "PanicProbe" => Some(DetectorConfig::PanicProbe),
             _ => {
-                let d = label.strip_prefix("CORD-D")?.parse().ok()?;
-                Some(DetectorConfig::Cord { d })
+                let d: u64 = label.strip_prefix("CORD-D")?.parse().ok()?;
+                let cfg = DetectorConfig::Cord { d };
+                (cfg.label() == label && (1..u64::from(WINDOW)).contains(&d)).then_some(cfg)
             }
         }
     }
@@ -291,6 +297,22 @@ mod tests {
             assert_eq!(DetectorConfig::from_label(&cfg.label()), Some(cfg));
         }
         assert_eq!(DetectorConfig::from_label("CORD-Dx"), None);
+        assert_eq!(DetectorConfig::from_label("CORD-D0"), None);
+        assert_eq!(DetectorConfig::from_label("CORD-D016"), None);
+        assert_eq!(DetectorConfig::from_label("CORD-D+16"), None);
+        assert_eq!(
+            DetectorConfig::from_label("CORD-D18446744073709551615"),
+            None
+        );
+        let last = u64::from(WINDOW) - 1;
+        assert_eq!(
+            DetectorConfig::from_label(&format!("CORD-D{last}")),
+            Some(DetectorConfig::Cord { d: last })
+        );
+        assert_eq!(
+            DetectorConfig::from_label(&format!("CORD-D{}", last + 1)),
+            None
+        );
         assert_eq!(DetectorConfig::from_label("nonsense"), None);
     }
 

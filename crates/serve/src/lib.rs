@@ -27,8 +27,9 @@
 //! * a **worker** thread owns the detector sink and ingests batches in
 //!   order. Detection itself is sequential — CORD's thread clocks are
 //!   global state, which is the paper's whole point — but the daemon
-//!   keeps per-shard accounting by dense line index and fans snapshot
-//!   serialization across a `cord-pool` worker pool;
+//!   keeps per-shard accounting by dense line index. Ingest latency is
+//!   sampled (a session's first `Access` and every 64th after it), so
+//!   the clock stays off the per-event path;
 //! * periodic **snapshots** land as durable `cord-json` documents
 //!   (sealed, crash-atomic, previous-generation rotation); abnormal
 //!   recoveries at startup surface as structured

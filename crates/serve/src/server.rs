@@ -7,7 +7,7 @@ use cord_json::durable::{self, RecoveryEvent};
 use cord_json::{obj, Json, ToJson};
 use cord_obs::wire::{decode_events, read_frame, write_frame, FRAME_EVENTS, FRAME_HEADER};
 use cord_obs::{Histogram, MetricsRegistry, StreamEvent, StreamHeader};
-use cord_pool::{lock_unpoisoned, Pool};
+use cord_pool::lock_unpoisoned;
 use cord_trace::layout::dense_line_index;
 use cord_trace::types::LineAddr;
 use std::io::{BufReader, BufWriter, Write};
@@ -17,6 +17,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread;
+use std::time::Instant;
+
+/// Ingest-latency sampling stride: a session's first `Access` and every
+/// `INGEST_SAMPLE_STRIDE`-th one after it are timed into the
+/// `ingest_latency` histogram; every other event is ingested without a
+/// clock read, which would otherwise cost about as much as the ingest.
+const INGEST_SAMPLE_STRIDE: u64 = 64;
 
 /// How a daemon runs: where it listens, how it snapshots, and how much
 /// in-flight work it tolerates.
@@ -34,8 +41,8 @@ pub struct DaemonConfig {
     /// knob. When the detector lags this many undigested batches, the
     /// reader stops pulling from the socket and the producer stalls.
     pub queue_depth: usize,
-    /// Dense-line shards for per-shard accounting and parallel snapshot
-    /// serialization.
+    /// Dense-line shards for the per-shard event accounting in `status`
+    /// responses and snapshots.
     pub shards: usize,
 }
 
@@ -66,7 +73,8 @@ struct DaemonState {
     /// Merged metrics of drained sessions.
     metrics: MetricsRegistry,
     /// Per-access ingest latency across drained sessions (how long the
-    /// sink spent on each Access event), merged pointwise.
+    /// sink spent on one Access event, sampled every
+    /// [`INGEST_SAMPLE_STRIDE`] accesses), merged pointwise.
     ingest_latency: Histogram,
     /// Per-shard event counts, summed across sessions.
     shard_events: Vec<u64>,
@@ -250,9 +258,9 @@ fn session_worker(
     let mut shard_events = vec![0u64; shards];
     let mut ingest_latency = Histogram::new();
     let mut events: u64 = 0;
+    let mut accesses: u64 = 0;
     let mut since_snapshot: u64 = 0;
     let mut drained = false;
-    let pool = Pool::new(shards.min(Pool::available_parallelism()));
 
     for work in rx {
         match work {
@@ -261,8 +269,13 @@ fn session_worker(
                     if let Some(line) = event_line(ev) {
                         shard_events[dense_line_index(line) % shards] += 1;
                     }
-                    if matches!(ev, StreamEvent::Access(_)) {
-                        let start = std::time::Instant::now();
+                    let timed = matches!(ev, StreamEvent::Access(_)) && {
+                        let nth = accesses;
+                        accesses += 1;
+                        nth.is_multiple_of(INGEST_SAMPLE_STRIDE)
+                    };
+                    if timed {
+                        let start = Instant::now();
                         sink.ingest(ev);
                         ingest_latency.record_ns(start.elapsed().as_nanos() as u64);
                     } else {
@@ -279,7 +292,7 @@ fn session_worker(
                 let every = shared.cfg.snapshot_every;
                 if every > 0 && since_snapshot >= every {
                     since_snapshot = 0;
-                    write_snapshot(header, &mut sink, events, &shard_events, &pool, shared);
+                    write_snapshot(header, &mut sink, events, &shard_events, shared);
                 }
             }
             Work::Drain(reply) => {
@@ -289,7 +302,7 @@ fn session_worker(
                 record_report(&report, &shard_events, &ingest_latency, shared);
                 ingest_latency = Histogram::new();
                 drained = true;
-                write_snapshot(header, &mut sink, events, &shard_events, &pool, shared);
+                write_snapshot(header, &mut sink, events, &shard_events, shared);
                 let _ = reply.send(bytes);
             }
         }
@@ -300,7 +313,7 @@ fn session_worker(
         sink.flush();
         let report = sink.drain();
         record_report(&report, &shard_events, &ingest_latency, shared);
-        write_snapshot(header, &mut sink, events, &shard_events, &pool, shared);
+        write_snapshot(header, &mut sink, events, &shard_events, shared);
     }
     let mut st = lock_unpoisoned(&shared.state);
     st.sessions_completed += 1;
@@ -333,38 +346,27 @@ fn record_report(
 }
 
 /// Writes the durable snapshot document: session progress, the current
-/// race report, and per-shard accounting. Shard summaries are
-/// serialized in parallel on the pool — the one piece of snapshot work
-/// that scales with the address space — then assembled in shard order
-/// so the document is deterministic.
+/// race report, and per-shard accounting in shard order.
 fn write_snapshot(
     header: &StreamHeader,
     sink: &mut DetectorEnum,
     events: u64,
     shard_events: &[u64],
-    pool: &Pool,
     shared: &Arc<Shared>,
 ) {
     let Some(path) = shared.cfg.snapshot.clone() else {
         return;
     };
     let report = sink.drain();
-    let jobs: Vec<_> = shard_events
+    let shards: Vec<Json> = shard_events
         .iter()
         .enumerate()
         .map(|(i, &n)| {
-            move || {
-                obj(vec![
-                    ("shard", Json::UInt(i as u64)),
-                    ("events", Json::UInt(n)),
-                ])
-            }
+            obj(vec![
+                ("shard", Json::UInt(i as u64)),
+                ("events", Json::UInt(n)),
+            ])
         })
-        .collect();
-    let shards: Vec<Json> = pool
-        .run_ordered(jobs)
-        .into_iter()
-        .map(|r| r.unwrap_or(Json::Null))
         .collect();
     let doc = obj(vec![
         ("workload", Json::Str(header.workload.clone())),
@@ -396,8 +398,8 @@ fn answer_query(
         }
         Query::Metrics => {
             let st = lock_unpoisoned(&shared.state);
-            // Registry shape (counters/gauges) plus the per-access
-            // ingest-latency distribution as a sibling field.
+            // Registry shape (counters/gauges) plus the sampled
+            // per-access ingest-latency distribution as a sibling field.
             let mut doc = st.metrics.to_json();
             if let Json::Object(fields) = &mut doc {
                 fields.push(("ingest_latency".into(), st.ingest_latency.to_json()));

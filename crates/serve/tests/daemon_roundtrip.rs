@@ -83,6 +83,41 @@ fn racy_events() -> Vec<StreamEvent> {
     events
 }
 
+/// Two threads on two cores taking turns on one line's words, `n`
+/// accesses in all (every third a write), then `RunEnd`.
+fn access_run(n: u64) -> Vec<StreamEvent> {
+    let line = Addr::new(0).line();
+    let mut events: Vec<StreamEvent> = (0..2)
+        .map(|core| StreamEvent::LineFilled {
+            core: CoreId(core),
+            level: Level::L2,
+            line,
+        })
+        .collect();
+    let mut retired = vec![0u64; 2];
+    for i in 0..n {
+        let t = (i % 2) as usize;
+        retired[t] += 1;
+        events.push(StreamEvent::Access(AccessEvent {
+            core: CoreId(t as u8),
+            thread: ThreadId(t as u16),
+            addr: Addr::new((i % 4) * WORD_BYTES),
+            kind: if i % 3 == 0 {
+                AccessKind::DataWrite
+            } else {
+                AccessKind::DataRead
+            },
+            path: AccessPath::L2Hit,
+            instr_index: retired[t],
+            cycle: 10 * (i + 1),
+        }));
+    }
+    events.push(StreamEvent::RunEnd {
+        instr_counts: retired,
+    });
+    events
+}
+
 fn header(detector: &str) -> StreamHeader {
     let layout = AddressLayout::new(2, 2, 1, 64);
     let geometry = wire::StreamGeometry::new(2, 2, &layout);
@@ -198,12 +233,55 @@ fn unknown_detector_label_is_rejected_cleanly() {
 
     let bad = client.replay_events(&header("NoSuchDetector"), &racy_events());
     assert!(bad.is_err(), "unknown label must not produce a report");
+    // A CORD label `build_sink` cannot build (D must be at least 1) is
+    // rejected before the session counts as started.
+    let bad = client.replay_events(&header("CORD-D0"), &racy_events());
+    assert!(bad.is_err(), "CORD-D0 must not produce a report");
 
     // The daemon survives the bad session and still answers.
     let status = client
         .query(Query::Status)
         .expect("status after bad session");
-    assert!(status.field("sessions_started").is_ok());
+    let started: u64 = cord_json::FromJson::from_json(
+        status
+            .field("sessions_started")
+            .expect("sessions_started field"),
+    )
+    .expect("uint");
+    assert_eq!(started, 0, "rejected headers start no session");
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ingest_latency_samples_every_64th_access() {
+    let dir = tmpdir("sampling");
+    let socket = dir.join("serve.sock");
+    let daemon = Daemon::new(DaemonConfig {
+        socket: socket.clone(),
+        snapshot: None,
+        ..DaemonConfig::default()
+    });
+    let handle = std::thread::spawn(move || daemon.run());
+    let client = ServeClient::new(&socket);
+    assert!(client.wait_ready(250), "daemon came up");
+
+    let label = "CORD-D16";
+    let events = access_run(130);
+    let config = DetectorConfig::from_label(label).expect("known label");
+    let via_daemon = client
+        .replay_events(&header(label), &events)
+        .expect("daemon replay");
+    assert_eq!(via_daemon, inline_bytes(config, &events));
+
+    // Accesses 0, 64 and 128 are timed; the other 127 are not.
+    let metrics = client.query(Query::Metrics).expect("metrics");
+    let latency = metrics.field("ingest_latency").expect("ingest_latency");
+    let count: u64 =
+        cord_json::FromJson::from_json(latency.field("count").expect("count field")).expect("uint");
+    assert_eq!(count, 3, "{latency:?}");
 
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon thread").expect("daemon exit");

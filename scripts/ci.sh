@@ -131,6 +131,12 @@ for _ in $(seq 50); do test -S "$smoke_dir/serve.sock" && break; sleep 0.1; done
 ./target/release/serve status --socket "$smoke_dir/serve.sock" > "$smoke_dir/serve-status.json"
 grep -q '"detector":"CORD-D16"' "$smoke_dir/serve-report.json"
 grep -q '"events":' "$smoke_dir/serve-status.json"
+# The sampled ingest-latency histogram reaches the CLI with at least
+# one sample (the session's first Access is always timed).
+./target/release/serve metrics --socket "$smoke_dir/serve.sock" > "$smoke_dir/serve-metrics.json"
+ingest_count=$(sed -n 's/.*"ingest_latency":{"count":\([0-9]*\).*/\1/p' "$smoke_dir/serve-metrics.json")
+test -n "$ingest_count"
+test "$ingest_count" -ge 1
 ./target/release/serve shutdown --socket "$smoke_dir/serve.sock" > /dev/null
 wait "$serve_pid"
 
