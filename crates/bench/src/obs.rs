@@ -10,7 +10,9 @@
 //! * **Unified metrics** — per-run [`SimStats`](cord_sim::stats::SimStats)
 //!   and detector counters accumulate into one
 //!   [`MetricsRegistry`], merged with the pool's batch snapshot and the
-//!   sweep profile at the end of the sweep.
+//!   sweep profile at the end of the sweep. The `sim.*` counters count
+//!   (run, configuration) cells: when passive detectors share one
+//!   machine run, its statistics are merged once per member.
 //! * **Sweep profile** — per-job wall-clock, queue wait (measured from
 //!   batch submission, an upper bound that includes sibling jobs'
 //!   service time), and per-worker checkpoint-flush time.

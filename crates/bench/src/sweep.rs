@@ -8,15 +8,16 @@
 //! non-completed runs are surfaced separately (see
 //! [`failure_summary`](crate::figures::failure_summary)).
 
-use crate::configs::DetectorConfig;
+use crate::configs::{DetectorConfig, DetectorEnum};
 use crate::obs::ObsSink;
-use cord_core::{DetectorSink, LatencyObserver, ObsCtx, SinkObserver};
+use cord_core::{DetectorSink, FanOutObserver, LatencyObserver, ObsCtx, SinkObserver};
 use cord_inject::{Campaign, InjectionTarget};
 use cord_json::{obj, FromJson, Json, JsonError, ToJson};
-use cord_obs::{MetricsRegistry, TraceHandle};
+use cord_obs::{Histogram, MetricsRegistry, TraceHandle};
 use cord_pool::panic_message;
 use cord_sim::config::{CoherenceKind, MachineConfig, Watchdog};
 use cord_sim::engine::{InjectionPlan, Machine, SimError};
+use cord_sim::stats::SimStats;
 use cord_trace::program::Workload;
 use cord_workloads::{kernel, AppKind, ScaleClass};
 use std::collections::BTreeMap;
@@ -464,27 +465,130 @@ pub(crate) fn run_config_impl(
         let (out, det) = m.run()?;
         (out, det, None)
     };
+    Ok(finish_cell(
+        config,
+        &out.stats,
+        &mut det,
+        access_latency.as_ref(),
+        trace.as_ref(),
+        obs,
+    ))
+}
+
+/// Runs a group of passive configurations on one `Machine`: each
+/// member's detector observes the same run through a
+/// [`FanOutObserver`], which asserts that none of them charges the bus.
+/// Passive detectors leave the machine's timing alone, so the shared
+/// run is the run each member would have had on its own. With `obs`
+/// set, every member keeps its own [`LatencyObserver`], and the run's
+/// statistics are merged once per member, exactly as the members'
+/// separate runs would have merged them. Groups never carry a trace
+/// ring (see [`run_injection`]).
+fn run_shared(
+    group: &[DetectorConfig],
+    workload: &Workload,
+    seed: u64,
+    plan: InjectionPlan,
+    opts: &SweepOptions,
+    obs: Option<RunObsCtx<'_>>,
+) -> Result<Vec<Detection>, SimError> {
+    let machine = opts.machine_for(group[0]);
+    let (threads, cores) = (workload.num_threads(), machine.cores);
+    let sinks = group
+        .iter()
+        .map(|c| SinkObserver::new(c.build_sink(threads, cores, seed, ObsCtx::disabled())));
+    // The same two instantiations as `run_config_impl`: no timing code
+    // on the disabled path.
+    let (out, members) = if obs.is_some() {
+        let fan = FanOutObserver::new(sinks.map(LatencyObserver::new).collect());
+        let (out, fan) = Machine::new(machine, workload, fan, seed, plan).run()?;
+        let members = fan.into_members().into_iter().map(|lat| {
+            let (det, hist) = lat.into_parts();
+            (det, Some(hist))
+        });
+        (out, members.collect::<Vec<_>>())
+    } else {
+        let fan = FanOutObserver::new(sinks.collect());
+        let (out, fan) = Machine::new(machine, workload, fan, seed, plan).run()?;
+        let members = fan.into_members().into_iter().map(|det| (det, None));
+        (out, members.collect())
+    };
+    Ok(group
+        .iter()
+        .zip(members)
+        .map(|(&config, (mut det, hist))| {
+            finish_cell(config, &out.stats, &mut det, hist.as_ref(), None, obs)
+        })
+        .collect())
+}
+
+/// Counts what one (run, config) cell's detector found and, with `obs`
+/// set, folds the cell's simulator statistics, detector counters,
+/// access-latency histogram and trace snapshot into the sweep's sink.
+fn finish_cell(
+    config: DetectorConfig,
+    stats: &SimStats,
+    det: &mut SinkObserver<DetectorEnum>,
+    access_latency: Option<&Histogram>,
+    trace: Option<&TraceHandle>,
+    obs: Option<RunObsCtx<'_>>,
+) -> Detection {
     if let Some(o) = obs {
         let mut reg = MetricsRegistry::default();
-        out.stats.record_into(&mut reg);
+        stats.record_into(&mut reg);
         reg.merge(&det.sink_mut().drain().metrics);
         o.sink.merge(&reg);
-        if let Some(h) = &trace {
+        if let Some(h) = trace {
             o.sink.write_trace(o.app, o.run_index, &config.label(), h);
         }
-        if let Some(hist) = &access_latency {
+        if let Some(hist) = access_latency {
             o.sink.record_access_latency(hist);
         }
     }
-    Ok(Detection {
+    Detection {
         races: det.sink().race_count(),
-    })
+    }
 }
 
-/// Runs every configuration on one injected run behind a panic
-/// boundary, producing the run's record. The Ideal oracle runs once and
-/// its result is reused if `configs` also lists it (no double
-/// simulation).
+/// Splits `[Ideal] ++ configs` into the machine runs one injected run
+/// needs, in order. A passive configuration
+/// ([`DetectorConfig::is_passive`]) joins the first earlier group whose
+/// leader is passive and runs an equal machine; any other configuration
+/// starts a group of its own, and so does every configuration when
+/// `share` is off. A configuration listed twice runs once.
+fn machine_groups(
+    configs: &[DetectorConfig],
+    opts: &SweepOptions,
+    share: bool,
+) -> Vec<Vec<DetectorConfig>> {
+    let mut groups: Vec<Vec<DetectorConfig>> = Vec::new();
+    for cfg in std::iter::once(DetectorConfig::Ideal).chain(configs.iter().copied()) {
+        if groups.iter().flatten().any(|&c| c == cfg) {
+            continue;
+        }
+        let joins = |g: &&mut Vec<DetectorConfig>| {
+            share
+                && cfg.is_passive()
+                && g[0].is_passive()
+                && opts.machine_for(g[0]) == opts.machine_for(cfg)
+        };
+        match groups.iter_mut().find(joins) {
+            Some(group) => group.push(cfg),
+            None => groups.push(vec![cfg]),
+        }
+    }
+    groups
+}
+
+/// Runs the Ideal oracle and every configuration on one injected run
+/// behind a panic boundary, producing the run's record. Configurations
+/// that share a machine and are passive run on one simulation
+/// ([`machine_groups`]); a group of one goes through
+/// [`run_config_impl`]. Members' machines equal their leader's, so a
+/// group fails exactly where its leader alone would have, and the
+/// record is the one separate runs would produce. A sweep that writes
+/// per-cell traces runs every configuration alone, because a cell's
+/// trace interleaves the machine's own events with its detector's.
 pub(crate) fn run_injection(
     target: InjectionTarget,
     configs: &[DetectorConfig],
@@ -495,16 +599,22 @@ pub(crate) fn run_injection(
 ) -> RunRecord {
     type RunOk = (Detection, BTreeMap<String, Detection>);
     let plan = target.plan();
+    let share = !obs.is_some_and(|o| o.sink.tracing());
     let outcome: Result<Result<RunOk, SimError>, _> = catch_unwind(AssertUnwindSafe(|| {
-        let ideal = run_config_impl(DetectorConfig::Ideal, workload, seed, plan, opts, obs)?;
         let mut detections = BTreeMap::new();
-        for &cfg in configs {
-            let det = if cfg == DetectorConfig::Ideal {
-                ideal
-            } else {
-                run_config_impl(cfg, workload, seed, plan, opts, obs)?
+        for group in machine_groups(configs, opts, share) {
+            let found = match group[..] {
+                [config] => vec![run_config_impl(config, workload, seed, plan, opts, obs)?],
+                _ => run_shared(&group, workload, seed, plan, opts, obs)?,
             };
-            detections.insert(cfg.label(), det);
+            for (config, det) in group.iter().zip(found) {
+                detections.insert(config.label(), det);
+            }
+        }
+        let ideal_label = DetectorConfig::Ideal.label();
+        let ideal = detections[&ideal_label];
+        if !configs.contains(&DetectorConfig::Ideal) {
+            detections.remove(&ideal_label);
         }
         Ok((ideal, detections))
     }));
@@ -868,6 +978,37 @@ mod tests {
         for r in &s.runs {
             assert_eq!(r.detections.get("Ideal").copied(), r.ideal);
         }
+    }
+
+    #[test]
+    fn passive_configs_on_equal_machines_share_a_run() {
+        let labels = |groups: Vec<Vec<DetectorConfig>>| -> Vec<Vec<String>> {
+            groups
+                .into_iter()
+                .map(|g| g.into_iter().map(DetectorConfig::label).collect())
+                .collect()
+        };
+        let mut configs = DetectorConfig::all_for_sweep();
+        configs.push(DetectorConfig::PanicProbe);
+        configs.push(DetectorConfig::Ideal);
+        assert_eq!(
+            labels(machine_groups(&configs, &quick_opts(), true)),
+            [
+                vec!["Ideal", "InfCache"],
+                vec!["CORD-D1"],
+                vec!["CORD-D4"],
+                vec!["CORD-D16"],
+                vec!["CORD-D256"],
+                vec!["L2Cache(VC)", "L1Cache(VC)"],
+                vec!["PanicProbe"],
+            ]
+        );
+        // Unshared (per-cell traces): one run per configuration, still
+        // in order and with Ideal first and once.
+        let alone = labels(machine_groups(&configs, &quick_opts(), false));
+        assert_eq!(alone.len(), 9);
+        assert!(alone.iter().all(|g| g.len() == 1));
+        assert_eq!(alone[0], ["Ideal"]);
     }
 
     #[test]

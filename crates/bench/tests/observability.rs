@@ -153,3 +153,48 @@ fn metrics_without_tracing_writes_no_trace_files() {
     assert_eq!(entries, vec![std::ffi::OsString::from("metrics.json")]);
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn grouped_and_per_cell_runs_count_the_same_metrics() {
+    // With metrics alone, passive configurations on equal machines share
+    // one simulation; a trace directory forces one simulation per cell.
+    // Either way the `sim.*` counters count (run, config) cells: a shared
+    // run's statistics are merged once per member.
+    let dir = temp_dir("grouping");
+    let grouped_path = dir.join("grouped.json");
+    let per_cell_path = dir.join("per-cell.json");
+    let cfgs = DetectorConfig::all_for_sweep();
+    let grouped = SweepRunner::new(quick_opts())
+        .apps(&APPS)
+        .metrics_out(&grouped_path)
+        .run(&cfgs)
+        .expect("grouped sweep");
+    let per_cell = SweepRunner::new(quick_opts())
+        .apps(&APPS)
+        .trace_dir(dir.join("traces"))
+        .metrics_out(&per_cell_path)
+        .run(&cfgs)
+        .expect("per-cell sweep");
+    assert_eq!(grouped, per_cell);
+
+    let counters = |path: &PathBuf| {
+        let doc = Json::parse(&fs::read_to_string(path).expect("metrics file"))
+            .expect("metrics JSON parses");
+        MetricsRegistry::from_json(doc.field("metrics").expect("metrics field"))
+            .expect("registry decodes")
+            .counters()
+            .clone()
+    };
+    let grouped_counters = counters(&grouped_path);
+    assert_eq!(grouped_counters, counters(&per_cell_path));
+    let completed: u64 = grouped
+        .apps
+        .iter()
+        .map(|a| a.completed().count() as u64)
+        .sum();
+    assert!(completed > 0, "sweep produced no completed runs");
+    let cells_per_run = cfgs.len() as u64 + 1; // the configs plus Ideal
+    assert_eq!(grouped_counters["sim.runs"], cells_per_run * completed);
+
+    let _ = fs::remove_dir_all(&dir);
+}

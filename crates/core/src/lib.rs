@@ -75,8 +75,8 @@ pub use replay::{
 };
 pub use shadow::{LineTable, ShadowSpace};
 pub use sink::{
-    apply_stream_event, CaptureObserver, DetectorSink, LatencyObserver, ObsCtx, SinkObserver,
-    SinkReport,
+    apply_stream_event, CaptureObserver, DetectorSink, FanOutObserver, LatencyObserver, ObsCtx,
+    SinkObserver, SinkReport,
 };
 
 /// The detector trait under its older name, kept for the separate

@@ -20,6 +20,7 @@
 //!   events back to observer callbacks.
 //! * [`CaptureObserver`] — tee: records the event stream while
 //!   forwarding it, without perturbing the inner observer.
+//! * [`FanOutObserver`] — several passive observers on one machine run.
 
 use cord_json::{obj, FromJson, Json, JsonError, ToJson};
 use cord_obs::{MetricsRegistry, ObserverOutcome, StreamEvent, TraceHandle};
@@ -227,6 +228,77 @@ impl<S: DetectorSink> MemoryObserver for SinkObserver<S> {
     }
 }
 
+/// Several observers on one machine run: each callback goes to every
+/// member, in member order. Only passive members may share a run — a
+/// member that charged the bus would change the interleaving its
+/// siblings see — so the fan-out panics unless every member returns
+/// [`ObserverOutcome::NONE`]. Members are [`SinkObserver`]s (or
+/// wrappers of them), so the run's end reaches each member's
+/// `on_run_end` and then its sink's [`DetectorSink::flush`].
+#[derive(Debug)]
+pub struct FanOutObserver<O> {
+    members: Vec<O>,
+}
+
+impl<O> FanOutObserver<O> {
+    /// Attaches `members` to one run.
+    pub fn new(members: Vec<O>) -> Self {
+        FanOutObserver { members }
+    }
+
+    /// Unwraps the members, in order.
+    pub fn into_members(self) -> Vec<O> {
+        self.members
+    }
+}
+
+#[inline]
+fn assert_passive(out: ObserverOutcome) {
+    assert_eq!(
+        out,
+        ObserverOutcome::NONE,
+        "a fan-out member charged the bus; only passive observers may share a machine run"
+    );
+}
+
+impl<O: MemoryObserver> MemoryObserver for FanOutObserver<O> {
+    #[inline]
+    fn on_access(&mut self, ev: &AccessEvent) -> ObserverOutcome {
+        for m in &mut self.members {
+            assert_passive(m.on_access(ev));
+        }
+        ObserverOutcome::NONE
+    }
+
+    #[inline]
+    fn on_line_filled(&mut self, core: CoreId, level: Level, line: LineAddr) {
+        for m in &mut self.members {
+            m.on_line_filled(core, level, line);
+        }
+    }
+
+    #[inline]
+    fn on_line_removed(&mut self, removal: &LineRemoval) -> ObserverOutcome {
+        for m in &mut self.members {
+            assert_passive(m.on_line_removed(removal));
+        }
+        ObserverOutcome::NONE
+    }
+
+    #[inline]
+    fn on_thread_migrated(&mut self, thread: ThreadId, from: CoreId, to: CoreId) {
+        for m in &mut self.members {
+            m.on_thread_migrated(thread, from, to);
+        }
+    }
+
+    fn on_run_end(&mut self, final_instr_counts: &[u64]) {
+        for m in &mut self.members {
+            m.on_run_end(final_instr_counts);
+        }
+    }
+}
+
 /// A per-access latency profiler: times each `on_access` callback of
 /// the wrapped observer and records it into a
 /// [`Histogram`](cord_obs::Histogram), forwarding everything unchanged.
@@ -376,6 +448,7 @@ mod tests {
     use super::*;
     use cord_obs::AccessKind;
     use cord_trace::types::Addr;
+    use std::sync::{Arc, Mutex};
 
     /// A sink that logs every callback it receives, in order.
     #[derive(Default)]
@@ -454,6 +527,122 @@ mod tests {
             ["access", "filled", "removed", "migrated", "run_end", "flush"],
             "each callback forwarded once, in order, and run end flushes"
         );
+    }
+
+    /// Callbacks as (member id, call), in the order members saw them.
+    type CallLog = Arc<Mutex<Vec<(usize, &'static str)>>>;
+
+    /// Logs each callback with its member's id into a log shared by
+    /// every member, so cross-member order is visible.
+    struct SharedLogSink {
+        id: usize,
+        log: CallLog,
+        outcome: ObserverOutcome,
+    }
+
+    impl SharedLogSink {
+        fn push(&self, call: &'static str) {
+            self.log.lock().expect("log lock").push((self.id, call));
+        }
+    }
+
+    impl MemoryObserver for SharedLogSink {
+        fn on_access(&mut self, _ev: &AccessEvent) -> ObserverOutcome {
+            self.push("access");
+            self.outcome
+        }
+
+        fn on_line_filled(&mut self, _core: CoreId, _level: Level, _line: LineAddr) {
+            self.push("filled");
+        }
+
+        fn on_line_removed(&mut self, _removal: &LineRemoval) -> ObserverOutcome {
+            self.push("removed");
+            ObserverOutcome::NONE
+        }
+
+        fn on_thread_migrated(&mut self, _thread: ThreadId, _from: CoreId, _to: CoreId) {
+            self.push("migrated");
+        }
+
+        fn on_run_end(&mut self, _final_instr_counts: &[u64]) {
+            self.push("run_end");
+        }
+    }
+
+    impl DetectorSink for SharedLogSink {
+        fn race_count(&self) -> u64 {
+            0
+        }
+
+        fn flush(&mut self) {
+            self.push("flush");
+        }
+
+        fn drain(&mut self) -> SinkReport {
+            SinkReport::new("shared-log")
+        }
+    }
+
+    fn fan_out(
+        outcomes: &[ObserverOutcome],
+    ) -> (FanOutObserver<SinkObserver<SharedLogSink>>, CallLog) {
+        let log = CallLog::default();
+        let members = outcomes
+            .iter()
+            .enumerate()
+            .map(|(id, &outcome)| {
+                SinkObserver::new(SharedLogSink {
+                    id,
+                    log: Arc::clone(&log),
+                    outcome,
+                })
+            })
+            .collect();
+        (FanOutObserver::new(members), log)
+    }
+
+    #[test]
+    fn fan_out_forwards_every_callback_to_every_member_in_order() {
+        let (mut fan, log) = fan_out(&[ObserverOutcome::NONE, ObserverOutcome::NONE]);
+        assert_eq!(fan.on_access(&access(0x40)), ObserverOutcome::NONE);
+        fan.on_line_filled(CoreId(1), Level::L2, LineAddr(3));
+        let removed = fan.on_line_removed(&LineRemoval {
+            core: CoreId(1),
+            level: Level::L2,
+            line: LineAddr(3),
+            cause: cord_obs::RemovalCause::Capacity,
+            dirty: false,
+        });
+        assert_eq!(removed, ObserverOutcome::NONE);
+        fan.on_thread_migrated(ThreadId(0), CoreId(0), CoreId(1));
+        fan.on_run_end(&[5, 5]);
+        // Each callback reaches member 0 then member 1; run end reaches
+        // each member whole (its `on_run_end`, then its flush), so each
+        // sink flushes exactly once.
+        let expected = [
+            (0, "access"),
+            (1, "access"),
+            (0, "filled"),
+            (1, "filled"),
+            (0, "removed"),
+            (1, "removed"),
+            (0, "migrated"),
+            (1, "migrated"),
+            (0, "run_end"),
+            (0, "flush"),
+            (1, "run_end"),
+            (1, "flush"),
+        ];
+        assert_eq!(*log.lock().expect("log lock"), expected);
+        assert_eq!(fan.into_members().len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "only passive observers may share a machine run")]
+    fn fan_out_panics_when_a_member_charges_the_bus() {
+        let (mut fan, _log) = fan_out(&[ObserverOutcome::NONE, ObserverOutcome::race_checks(1)]);
+        fan.on_access(&access(0x40));
     }
 
     #[test]

@@ -94,6 +94,22 @@ impl DetectorConfig {
         }
     }
 
+    /// `true` when this configuration's detector never charges the bus:
+    /// every callback returns `ObserverOutcome::NONE`, so its machine
+    /// runs as if no detector were attached, and passive configurations
+    /// on equal machines can share one run. CORD's race checks and
+    /// memory-timestamp broadcasts change timing, and the panic probe
+    /// faults by design, so neither is passive.
+    pub fn is_passive(self) -> bool {
+        matches!(
+            self,
+            DetectorConfig::Ideal
+                | DetectorConfig::VcInfCache
+                | DetectorConfig::VcL2Cache
+                | DetectorConfig::VcL1Cache
+        )
+    }
+
     /// The CORD detector configuration, when this is a CORD variant.
     pub fn cord_config(self) -> Option<CordConfig> {
         match self {
@@ -344,6 +360,17 @@ mod tests {
             crate::CapacityMode::Level(cord_sim::observer::Level::L1)
         );
         assert_eq!(DetectorConfig::all_for_sweep().len(), 7);
+    }
+
+    #[test]
+    fn only_the_vector_clock_family_is_passive() {
+        let passive: Vec<String> = DetectorConfig::all_for_sweep()
+            .into_iter()
+            .chain([DetectorConfig::Ideal, DetectorConfig::PanicProbe])
+            .filter(|c| c.is_passive())
+            .map(DetectorConfig::label)
+            .collect();
+        assert_eq!(passive, ["InfCache", "L2Cache(VC)", "L1Cache(VC)", "Ideal"]);
     }
 
     #[test]

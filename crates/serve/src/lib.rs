@@ -23,7 +23,12 @@
 //!   and hands event batches to the session worker over a *bounded*
 //!   queue — when the detector falls behind, the queue fills, the
 //!   reader blocks, the socket buffer fills, and the producer stalls:
-//!   end-to-end backpressure with no unbounded buffering;
+//!   end-to-end backpressure with no unbounded buffering. The reader
+//!   also rejects any event whose thread or core is at or past the
+//!   header's geometry with
+//!   [`ServeError::OutOfGeometry`](crate::ServeError::OutOfGeometry),
+//!   so such a session fails alone instead of indexing out of bounds
+//!   in the worker;
 //! * a **worker** thread owns the detector sink and ingests batches in
 //!   order. Detection itself is sequential — CORD's thread clocks are
 //!   global state, which is the paper's whole point — but the daemon

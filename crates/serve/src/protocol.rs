@@ -133,6 +133,16 @@ pub enum ServeError {
     },
     /// The peer violated the session protocol.
     Protocol(String),
+    /// An event names a thread or core at or past the stream header's
+    /// geometry.
+    OutOfGeometry {
+        /// `"thread"` or `"core"`.
+        field: &'static str,
+        /// The index the event named.
+        index: u64,
+        /// The header's count; valid indices are below it.
+        limit: u32,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -143,6 +153,14 @@ impl fmt::Display for ServeError {
             ServeError::Json(e) => write!(f, "malformed payload: {e}"),
             ServeError::BadFrame { tag } => write!(f, "unexpected frame tag {tag:#04x}"),
             ServeError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
+            ServeError::OutOfGeometry {
+                field,
+                index,
+                limit,
+            } => write!(
+                f,
+                "event names {field} {index}, but the stream header declares {limit}"
+            ),
         }
     }
 }

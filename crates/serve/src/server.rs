@@ -5,11 +5,12 @@ use cord_core::{DetectorSink, ObsCtx};
 use cord_detectors::{DetectorConfig, DetectorEnum};
 use cord_json::durable::{self, RecoveryEvent};
 use cord_json::{obj, Json, ToJson};
+use cord_obs::wire::StreamGeometry;
 use cord_obs::wire::{decode_events, read_frame, write_frame, FRAME_EVENTS, FRAME_HEADER};
-use cord_obs::{Histogram, MetricsRegistry, StreamEvent, StreamHeader};
+use cord_obs::{CoreId, Histogram, MetricsRegistry, StreamEvent, StreamHeader};
 use cord_pool::lock_unpoisoned;
 use cord_trace::layout::dense_line_index;
-use cord_trace::types::LineAddr;
+use cord_trace::types::{LineAddr, ThreadId};
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -217,6 +218,9 @@ fn stream_session(
             match payload.split_first() {
                 Some((&FRAME_EVENTS, body)) => {
                     let events = decode_events(body)?;
+                    for ev in &events {
+                        check_geometry(ev, &header.geometry)?;
+                    }
                     // A full queue blocks here — backpressure all the
                     // way to the producer's socket writes.
                     if tx.send(Work::Events(events)).is_err() {
@@ -317,6 +321,38 @@ fn session_worker(
     }
     let mut st = lock_unpoisoned(&shared.state);
     st.sessions_completed += 1;
+}
+
+/// Rejects an event whose thread or core is at or past the header's
+/// geometry. Detectors size their per-thread and per-core state from
+/// the header, so such an event would index out of bounds and kill the
+/// session worker; checked on the reader thread, it fails only its own
+/// session, with a typed error.
+fn check_geometry(ev: &StreamEvent, geometry: &StreamGeometry) -> Result<(), ServeError> {
+    let within = |field, index: u64, limit: u32| {
+        if index < u64::from(limit) {
+            Ok(())
+        } else {
+            Err(ServeError::OutOfGeometry {
+                field,
+                index,
+                limit,
+            })
+        }
+    };
+    let thread = |t: ThreadId| within("thread", u64::from(t.0), geometry.threads);
+    let core = |c: CoreId| within("core", u64::from(c.0), geometry.cores);
+    match ev {
+        StreamEvent::Access(a) => thread(a.thread).and(core(a.core)),
+        StreamEvent::LineFilled { core: c, .. } => core(*c),
+        StreamEvent::LineRemoved(r) => core(r.core),
+        StreamEvent::ThreadMigrated {
+            thread: t,
+            from,
+            to,
+        } => thread(*t).and(core(*from)).and(core(*to)),
+        StreamEvent::RunEnd { .. } | StreamEvent::Trace(_) => Ok(()),
+    }
 }
 
 /// Which cache line an event concerns, for shard accounting.
@@ -453,4 +489,51 @@ fn status_doc(shared: &Arc<Shared>) -> Json {
             Json::Array(st.recovery.iter().map(|e| e.to_json()).collect()),
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cord_obs::{AccessEvent, AccessKind, AccessPath};
+    use cord_trace::layout::AddressLayout;
+    use cord_trace::types::Addr;
+
+    #[test]
+    fn geometry_check_rejects_the_first_index_past_each_bound() {
+        let geometry = StreamGeometry::new(2, 4, &AddressLayout::new(2, 2, 1, 64));
+        let access = |thread, core| {
+            StreamEvent::Access(AccessEvent {
+                core: CoreId(core),
+                thread: ThreadId(thread),
+                addr: Addr::new(0),
+                kind: AccessKind::DataRead,
+                path: AccessPath::L1Hit,
+                instr_index: 0,
+                cycle: 0,
+            })
+        };
+        assert!(check_geometry(&access(1, 3), &geometry).is_ok());
+        assert!(matches!(
+            check_geometry(&access(2, 0), &geometry),
+            Err(ServeError::OutOfGeometry {
+                field: "thread",
+                index: 2,
+                limit: 2
+            })
+        ));
+        assert!(matches!(
+            check_geometry(&access(0, 4), &geometry),
+            Err(ServeError::OutOfGeometry {
+                field: "core",
+                index: 4,
+                limit: 4
+            })
+        ));
+        let migrated = StreamEvent::ThreadMigrated {
+            thread: ThreadId(1),
+            from: CoreId(3),
+            to: CoreId(4),
+        };
+        assert!(check_geometry(&migrated, &geometry).is_err());
+    }
 }

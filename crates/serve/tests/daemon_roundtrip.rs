@@ -287,3 +287,50 @@ fn ingest_latency_samples_every_64th_access() {
     handle.join().expect("daemon thread").expect("daemon exit");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn out_of_geometry_thread_fails_only_its_session() {
+    let dir = tmpdir("bounds");
+    let socket = dir.join("serve.sock");
+    let daemon = Daemon::new(DaemonConfig {
+        socket: socket.clone(),
+        snapshot: None,
+        ..DaemonConfig::default()
+    });
+    let handle = std::thread::spawn(move || daemon.run());
+    let client = ServeClient::new(&socket);
+    assert!(client.wait_ready(250), "daemon came up");
+
+    // The header declares two threads; this Access names thread 2.
+    let label = "CORD-D16";
+    let threads = header(label).geometry.threads;
+    let mut bad_events = racy_events();
+    if let StreamEvent::Access(a) = &mut bad_events[1] {
+        a.thread = ThreadId(threads as u16);
+    }
+    let bad = client.replay_events(&header(label), &bad_events);
+    assert!(
+        bad.is_err(),
+        "an out-of-geometry thread must not produce a report"
+    );
+
+    // The daemon still answers, the bad session ended without a worker
+    // panic, and a following good session replays byte-identically.
+    let status = client
+        .query(Query::Status)
+        .expect("status after bad session");
+    let count = |field: &str| -> u64 {
+        cord_json::FromJson::from_json(status.field(field).expect("status field")).expect("uint")
+    };
+    assert_eq!(count("sessions_started"), count("sessions_completed"));
+    let events = racy_events();
+    let config = DetectorConfig::from_label(label).expect("known label");
+    let via_daemon = client
+        .replay_events(&header(label), &events)
+        .expect("good session after a bad one");
+    assert_eq!(via_daemon, inline_bytes(config, &events));
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -59,6 +59,15 @@ diff "$smoke_dir/serial.json" "$smoke_dir/observed.json"
 diff "$smoke_dir/serial.txt" "$smoke_dir/observed.txt"
 test -s "$smoke_dir/metrics.json"
 ls "$smoke_dir/traces"/*.json > /dev/null
+# Metrics alone keep passive detectors sharing a machine run (traces
+# force one run per cell), so this byte-checks grouped-with-metrics
+# against the grouped serial run and the ungrouped traced one above.
+./target/release/figures fig10 --scale tiny --injections 2 --jobs 1 \
+    --json "$smoke_dir/metrics-only.json" --metrics-out "$smoke_dir/metrics-only-metrics.json" \
+    > "$smoke_dir/metrics-only.txt" 2> /dev/null
+diff "$smoke_dir/serial.json" "$smoke_dir/metrics-only.json"
+diff "$smoke_dir/serial.txt" "$smoke_dir/metrics-only.txt"
+test -s "$smoke_dir/metrics-only-metrics.json"
 
 echo "== fuzz smoke: 200 cases, oracle clean, --jobs invariant, corpus replays =="
 ./target/release/fuzz --seed 1 --count 200 --jobs 1 --budget-secs 600 \
