@@ -69,7 +69,7 @@ fn capture_run(
     let sink = config.build_sink(threads, machine.cores, seed, ObsCtx::disabled());
     let obs = CaptureObserver::new(SinkObserver::new(sink));
     let m = Machine::new(machine.clone(), workload, obs, seed, InjectionPlan::none());
-    let (_, obs) = m.run()?;
+    let (_, obs) = m.run_stats()?;
     let (mut adapter, events) = obs.into_parts();
     let inline = adapter.sink_mut().drain().to_bytes();
     Ok((events, inline))

@@ -470,7 +470,7 @@ pub fn ablations(
             for (i, plan) in campaign.plans().enumerate() {
                 let det = CordDetector::new(mk(), 4, machine.cores);
                 let m = Machine::new(machine.clone(), &w, det, seed + i as u64, plan);
-                let (_, det) = m.run()?;
+                let (_, det) = m.run_stats()?;
                 found += u64::from(!det.races().is_empty());
             }
             vals.push(Some(found as f64));
@@ -593,7 +593,7 @@ pub fn cache_size_sweep(seed: u64, injections: usize) -> Result<FigureTable, Cor
             for (i, plan) in campaign.plans().enumerate() {
                 let det = CordDetector::new(CordConfig::paper(), 4, mc.cores);
                 let m = Machine::new(mc.clone(), &w, det, seed + i as u64, plan);
-                let (_, det) = m.run()?;
+                let (_, det) = m.run_stats()?;
                 found += u64::from(!det.races().is_empty());
             }
             vals.push(Some(found as f64));
@@ -640,7 +640,7 @@ pub fn thread_sweep(seed: u64, injections: usize) -> Result<FigureTable, CordErr
             for (i, plan) in campaign.plans().enumerate() {
                 let det = CordDetector::new(CordConfig::paper(), threads, machine.cores);
                 let m = Machine::new(machine.clone(), &w, det, seed + i as u64, plan);
-                let (_, det) = m.run()?;
+                let (_, det) = m.run_stats()?;
                 found += u64::from(!det.races().is_empty());
             }
             vals.push(Some(found as f64));
@@ -856,10 +856,10 @@ pub fn cores_scaling(seed: u64, injections: usize) -> Result<ScalingReport, Cord
                 let w = kernel(app, ScaleClass::Tiny, cores, seed);
                 let det = CordDetector::new(CordConfig::paper(), cores, mc.cores);
                 let m = Machine::new(mc.clone(), &w, det, seed, InjectionPlan::none());
-                let (out, det) = m.run()?;
-                cycles_sum += out.stats.cycles;
-                p.directory_lookups += out.stats.directory_lookups;
-                p.directory_home_wait += out.stats.directory_home_wait;
+                let (stats, det) = m.run_stats()?;
+                cycles_sum += stats.cycles;
+                p.directory_lookups += stats.directory_lookups;
+                p.directory_home_wait += stats.directory_home_wait;
                 let cs = det.stats();
                 p.window16_audits += cs.window16_audits;
                 p.window16_mismatches += cs.window16_mismatches;
@@ -868,7 +868,7 @@ pub fn cores_scaling(seed: u64, injections: usize) -> Result<ScalingReport, Cord
                 for (i, plan) in campaign.plans().enumerate() {
                     let det = CordDetector::new(CordConfig::paper(), cores, mc.cores);
                     let m = Machine::new(mc.clone(), &w, det, seed + i as u64, plan);
-                    let (_, det) = m.run()?;
+                    let (_, det) = m.run_stats()?;
                     p.injected_runs += 1;
                     p.detections += u64::from(!det.races().is_empty());
                 }
@@ -977,7 +977,7 @@ pub fn lockfree_family(scale: ScaleClass, seed: u64) -> Result<FigureTable, Cord
                 seed,
                 InjectionPlan::none(),
             );
-            let (_, tandem) = m.run()?;
+            let (_, tandem) = m.run_stats()?;
             clean_races += tandem.det.races().len() as u64;
             let counts = count_instances(&cfg, &w, seed)?;
             let mut truth_racy = 0u64;
@@ -991,7 +991,9 @@ pub fn lockfree_family(scale: ScaleClass, seed: u64) -> Result<FigureTable, Cord
                     seed,
                     InjectionPlan::remove_nth(n),
                 );
-                let Ok((_, tandem)) = m.run() else { continue };
+                let Ok((_, tandem)) = m.run_stats() else {
+                    continue;
+                };
                 if racy_words(&tandem.rec.events, threads, &BTreeSet::new()).is_empty() {
                     continue;
                 }

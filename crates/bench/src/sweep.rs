@@ -443,7 +443,7 @@ pub(crate) fn run_config_impl(
     // at all, so observability stays provably free when off. The
     // obs-enabled path wraps the observer in a LatencyObserver that
     // times every on_access into a histogram.
-    let (out, mut det, access_latency) = if obs.is_some() {
+    let (stats, mut det, access_latency) = if obs.is_some() {
         let mut m = Machine::new(
             machine,
             workload,
@@ -454,20 +454,20 @@ pub(crate) fn run_config_impl(
         if let Some(h) = &trace {
             m = m.with_trace(h.clone());
         }
-        let (out, lat) = m.run()?;
+        let (stats, lat) = m.run_stats()?;
         let (det, hist) = lat.into_parts();
-        (out, det, Some(hist))
+        (stats, det, Some(hist))
     } else {
         let mut m = Machine::new(machine, workload, SinkObserver::new(det), seed, plan);
         if let Some(h) = &trace {
             m = m.with_trace(h.clone());
         }
-        let (out, det) = m.run()?;
-        (out, det, None)
+        let (stats, det) = m.run_stats()?;
+        (stats, det, None)
     };
     Ok(finish_cell(
         config,
-        &out.stats,
+        &stats,
         &mut det,
         access_latency.as_ref(),
         trace.as_ref(),
@@ -499,25 +499,25 @@ fn run_shared(
         .map(|c| SinkObserver::new(c.build_sink(threads, cores, seed, ObsCtx::disabled())));
     // The same two instantiations as `run_config_impl`: no timing code
     // on the disabled path.
-    let (out, members) = if obs.is_some() {
+    let (stats, members) = if obs.is_some() {
         let fan = FanOutObserver::new(sinks.map(LatencyObserver::new).collect());
-        let (out, fan) = Machine::new(machine, workload, fan, seed, plan).run()?;
+        let (stats, fan) = Machine::new(machine, workload, fan, seed, plan).run_stats()?;
         let members = fan.into_members().into_iter().map(|lat| {
             let (det, hist) = lat.into_parts();
             (det, Some(hist))
         });
-        (out, members.collect::<Vec<_>>())
+        (stats, members.collect::<Vec<_>>())
     } else {
         let fan = FanOutObserver::new(sinks.collect());
-        let (out, fan) = Machine::new(machine, workload, fan, seed, plan).run()?;
+        let (stats, fan) = Machine::new(machine, workload, fan, seed, plan).run_stats()?;
         let members = fan.into_members().into_iter().map(|det| (det, None));
-        (out, members.collect())
+        (stats, members.collect())
     };
     Ok(group
         .iter()
         .zip(members)
         .map(|(&config, (mut det, hist))| {
-            finish_cell(config, &out.stats, &mut det, hist.as_ref(), None, obs)
+            finish_cell(config, &stats, &mut det, hist.as_ref(), None, obs)
         })
         .collect())
 }

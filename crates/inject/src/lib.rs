@@ -61,10 +61,10 @@ pub fn count_instances(
         seed,
         InjectionPlan::none(),
     );
-    let (out, _) = m.run()?;
+    let (stats, _) = m.run_stats()?;
     Ok(InstanceCounts {
-        acquires: out.stats.removable_sync_instances,
-        releases: out.stats.release_sync_instances,
+        acquires: stats.removable_sync_instances,
+        releases: stats.release_sync_instances,
     })
 }
 

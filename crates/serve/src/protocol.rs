@@ -143,6 +143,9 @@ pub enum ServeError {
         /// The header's count; valid indices are below it.
         limit: u32,
     },
+    /// An event arrived after the stream's `RunEnd`, which must come
+    /// last (a second `RunEnd` included).
+    EventAfterRunEnd,
 }
 
 impl fmt::Display for ServeError {
@@ -161,6 +164,7 @@ impl fmt::Display for ServeError {
                 f,
                 "event names {field} {index}, but the stream header declares {limit}"
             ),
+            ServeError::EventAfterRunEnd => write!(f, "event after the stream's run end"),
         }
     }
 }

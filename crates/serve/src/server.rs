@@ -214,12 +214,19 @@ fn stream_session(
 
     let mut writer = BufWriter::new(stream);
     let result = (|| -> Result<(), ServeError> {
+        // `RunEnd` closes the detector's order log, so it must be the
+        // stream's last event.
+        let mut run_ended = false;
         while let Some(payload) = read_frame(&mut reader)? {
             match payload.split_first() {
                 Some((&FRAME_EVENTS, body)) => {
                     let events = decode_events(body)?;
                     for ev in &events {
+                        if run_ended {
+                            return Err(ServeError::EventAfterRunEnd);
+                        }
                         check_geometry(ev, &header.geometry)?;
+                        run_ended = matches!(ev, StreamEvent::RunEnd { .. });
                     }
                     // A full queue blocks here — backpressure all the
                     // way to the producer's socket writes.
@@ -324,10 +331,11 @@ fn session_worker(
 }
 
 /// Rejects an event whose thread or core is at or past the header's
-/// geometry. Detectors size their per-thread and per-core state from
-/// the header, so such an event would index out of bounds and kill the
-/// session worker; checked on the reader thread, it fails only its own
-/// session, with a typed error.
+/// geometry — a `RunEnd`'s instruction counts name threads `0..len`.
+/// Detectors size their per-thread and per-core state from the header,
+/// so such an event would index out of bounds and kill the session
+/// worker; checked on the reader thread, it fails only its own session,
+/// with a typed error.
 fn check_geometry(ev: &StreamEvent, geometry: &StreamGeometry) -> Result<(), ServeError> {
     let within = |field, index: u64, limit: u32| {
         if index < u64::from(limit) {
@@ -351,7 +359,11 @@ fn check_geometry(ev: &StreamEvent, geometry: &StreamGeometry) -> Result<(), Ser
             from,
             to,
         } => thread(*t).and(core(*from)).and(core(*to)),
-        StreamEvent::RunEnd { .. } | StreamEvent::Trace(_) => Ok(()),
+        StreamEvent::RunEnd { instr_counts } => match instr_counts.len().checked_sub(1) {
+            Some(last) => within("thread", last as u64, geometry.threads),
+            None => Ok(()),
+        },
+        StreamEvent::Trace(_) => Ok(()),
     }
 }
 
@@ -535,5 +547,17 @@ mod tests {
             to: CoreId(4),
         };
         assert!(check_geometry(&migrated, &geometry).is_err());
+        let run_end = |threads| StreamEvent::RunEnd {
+            instr_counts: vec![0; threads],
+        };
+        assert!(check_geometry(&run_end(2), &geometry).is_ok());
+        assert!(matches!(
+            check_geometry(&run_end(3), &geometry),
+            Err(ServeError::OutOfGeometry {
+                field: "thread",
+                index: 2,
+                limit: 2
+            })
+        ));
     }
 }

@@ -334,3 +334,63 @@ fn out_of_geometry_thread_fails_only_its_session() {
     handle.join().expect("daemon thread").expect("daemon exit");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn malformed_run_end_fails_only_its_session() {
+    let dir = tmpdir("run-end");
+    let socket = dir.join("serve.sock");
+    let daemon = Daemon::new(DaemonConfig {
+        socket: socket.clone(),
+        snapshot: None,
+        ..DaemonConfig::default()
+    });
+    let handle = std::thread::spawn(move || daemon.run());
+    let client = ServeClient::new(&socket);
+    assert!(client.wait_ready(250), "daemon came up");
+
+    let label = "CORD-D16";
+    let good = access_run(40);
+    // Each of these would kill the session worker inside the order
+    // log's flush if it reached the detector: a count for a thread the
+    // header never declared, a second flush, and an event after it.
+    let mut too_many_counts = good.clone();
+    if let Some(StreamEvent::RunEnd { instr_counts }) = too_many_counts.last_mut() {
+        instr_counts.push(0);
+    }
+    let mut twice = good.clone();
+    twice.push(good.last().expect("run end").clone());
+    let mut after = good.clone();
+    after.push(good[0].clone());
+
+    let status_counts = || {
+        let status = client.query(Query::Status).expect("status");
+        let count = |field: &str| -> u64 {
+            cord_json::FromJson::from_json(status.field(field).expect("status field"))
+                .expect("uint")
+        };
+        (count("sessions_started"), count("sessions_completed"))
+    };
+    for (case, events) in [
+        ("extra instruction count", &too_many_counts),
+        ("second run end", &twice),
+        ("event after run end", &after),
+    ] {
+        assert!(
+            client.replay_events(&header(label), events).is_err(),
+            "{case}: a malformed run end must not produce a report"
+        );
+        let (started, completed) = status_counts();
+        assert_eq!(started, completed, "{case}: the session worker survived");
+    }
+
+    let config = DetectorConfig::from_label(label).expect("known label");
+    let via_daemon = client
+        .replay_events(&header(label), &good)
+        .expect("good session after bad ones");
+    assert_eq!(via_daemon, inline_bytes(config, &good));
+    assert_eq!(status_counts(), (4, 4));
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -53,21 +53,30 @@ pub struct Victim {
     pub state: Mesi,
 }
 
-/// Storage for the sets: dense for realistic caches; a flat slot map for
-/// the paper's "infinite" configurations (eagerly allocating millions of
-/// *sets* would dominate run time, but a one-word-per-set index is cheap
-/// and keeps set lookup off the hash path); a hash map only for
-/// geometries too large even for the slot map.
+/// Storage for the sets: one flat slot array for realistic caches; a
+/// flat slot map for the paper's "infinite" configurations (eagerly
+/// allocating millions of *sets* would dominate run time, but a
+/// one-word-per-set index is cheap and keeps set lookup off the hash
+/// path); a hash map only for geometries too large even for the slot
+/// map. Every store keeps a set's entries in the same order — new
+/// lines append, removals move the set's last entry into the hole — so
+/// the stores differ in layout only.
 #[derive(Debug, Clone)]
 enum SetStore {
-    Dense(Vec<Vec<Entry>>),
+    /// `ways` slots per set in one allocation: set `s` owns
+    /// `slots[s * ways..][..fill[s]]`. One contiguous scan per lookup,
+    /// and no per-set heap block to chase.
+    Dense {
+        slots: Vec<Entry>,
+        fill: Vec<u32>,
+    },
     /// `slot_of_set[set]` is [`NO_SLOT`] until the set's first line
     /// arrives, then an index into `sets`. The slot map itself grows
     /// lazily to the highest touched set index (machines are built per
     /// run, and eagerly zeroing megabytes of slots per construction
     /// would dwarf the runs themselves); indices past its current
     /// length are untouched sets. Slot allocation order follows first
-    /// touch; per-set entry order is identical to [`Dense`].
+    /// touch.
     Mapped {
         slot_of_set: Vec<u32>,
         sets: Vec<Vec<Entry>>,
@@ -75,7 +84,8 @@ enum SetStore {
     Sparse(std::collections::HashMap<u64, Vec<Entry>>),
 }
 
-/// Above this set count the cache stops pre-allocating a `Vec` per set.
+/// Above this set count the cache stops pre-allocating every set's
+/// slots.
 const SPARSE_THRESHOLD: u64 = 1 << 14;
 
 /// Above this set count even the flat slot map (4 bytes per set) is too
@@ -84,6 +94,23 @@ const MAPPED_THRESHOLD: u64 = 1 << 22;
 
 /// Sentinel slot for a never-touched set in [`SetStore::Mapped`].
 const NO_SLOT: u32 = u32::MAX;
+
+/// Filler for the unused slots of a [`SetStore::Dense`] set; never read.
+const EMPTY_SLOT: Entry = Entry {
+    line: LineAddr(0),
+    state: Mesi::Shared,
+    lru: 0,
+};
+
+/// Position of the least-recently-used entry of a nonempty set (LRU
+/// ticks are unique, so the victim does not depend on entry order).
+fn lru_position(set: &[Entry]) -> usize {
+    set.iter()
+        .enumerate()
+        .min_by_key(|(_, e)| e.lru)
+        .map(|(i, _)| i)
+        .expect("full set is nonempty")
+}
 
 /// One set-associative cache array.
 #[derive(Debug, Clone)]
@@ -95,6 +122,8 @@ pub struct Cache {
     /// mask instead of a division (set counts are asserted to be powers
     /// of two at geometry construction).
     set_mask: u64,
+    /// `geometry.ways`, as a slot count.
+    ways: usize,
 }
 
 impl Cache {
@@ -102,8 +131,12 @@ impl Cache {
     pub fn new(geometry: CacheGeometry) -> Self {
         let num_sets = geometry.num_sets();
         debug_assert!(num_sets.is_power_of_two());
+        let ways = geometry.ways as usize;
         let sets = if num_sets <= SPARSE_THRESHOLD {
-            SetStore::Dense((0..num_sets).map(|_| Vec::new()).collect())
+            SetStore::Dense {
+                slots: vec![EMPTY_SLOT; num_sets as usize * ways],
+                fill: vec![0; num_sets as usize],
+            }
         } else if num_sets <= MAPPED_THRESHOLD {
             SetStore::Mapped {
                 slot_of_set: Vec::new(),
@@ -117,6 +150,7 @@ impl Cache {
             sets,
             tick: 0,
             set_mask: num_sets - 1,
+            ways,
         }
     }
 
@@ -125,24 +159,48 @@ impl Cache {
         line.0 & self.set_mask
     }
 
+    /// The resident entries of set `idx` (empty for an untouched set).
     #[inline]
-    fn set(&self, idx: u64) -> Option<&Vec<Entry>> {
+    fn set(&self, idx: u64) -> &[Entry] {
         match &self.sets {
-            SetStore::Dense(v) => Some(&v[idx as usize]),
+            SetStore::Dense { slots, fill } => {
+                let base = idx as usize * self.ways;
+                &slots[base..base + fill[idx as usize] as usize]
+            }
             SetStore::Mapped { slot_of_set, sets } => {
                 match slot_of_set.get(idx as usize).copied().unwrap_or(NO_SLOT) {
-                    NO_SLOT => None,
-                    slot => Some(&sets[slot as usize]),
+                    NO_SLOT => &[],
+                    slot => &sets[slot as usize],
                 }
             }
-            SetStore::Sparse(m) => m.get(&idx),
+            SetStore::Sparse(m) => m.get(&idx).map_or(&[], Vec::as_slice),
         }
     }
 
+    /// Mutable view of set `idx`'s resident entries; allocates nothing
+    /// for an untouched set.
     #[inline]
-    fn set_mut(&mut self, idx: u64) -> &mut Vec<Entry> {
+    fn set_mut(&mut self, idx: u64) -> &mut [Entry] {
         match &mut self.sets {
-            SetStore::Dense(v) => &mut v[idx as usize],
+            SetStore::Dense { slots, fill } => {
+                let base = idx as usize * self.ways;
+                &mut slots[base..base + fill[idx as usize] as usize]
+            }
+            SetStore::Mapped { slot_of_set, sets } => {
+                match slot_of_set.get(idx as usize).copied().unwrap_or(NO_SLOT) {
+                    NO_SLOT => &mut [],
+                    slot => &mut sets[slot as usize],
+                }
+            }
+            SetStore::Sparse(m) => m.get_mut(&idx).map_or(&mut [], Vec::as_mut_slice),
+        }
+    }
+
+    /// The growable set `idx` of a [`SetStore::Mapped`] or
+    /// [`SetStore::Sparse`] store, created on first touch.
+    fn set_vec(&mut self, idx: u64) -> &mut Vec<Entry> {
+        match &mut self.sets {
+            SetStore::Dense { .. } => unreachable!("dense sets are fixed slot arrays"),
             SetStore::Mapped { slot_of_set, sets } => {
                 let i = idx as usize;
                 if i >= slot_of_set.len() {
@@ -159,9 +217,16 @@ impl Cache {
         }
     }
 
+    /// The present entry for `line`, if any.
+    #[inline]
+    fn entry_mut(&mut self, line: LineAddr) -> Option<&mut Entry> {
+        let idx = self.set_index(line);
+        self.set_mut(idx).iter_mut().find(|e| e.line == line)
+    }
+
     /// The state of `line` if present.
     pub fn probe(&self, line: LineAddr) -> Option<Mesi> {
-        self.set(self.set_index(line))?
+        self.set(self.set_index(line))
             .iter()
             .find(|e| e.line == line)
             .map(|e| e.state)
@@ -175,15 +240,12 @@ impl Cache {
     /// pipeline relies on.
     #[inline]
     pub fn touch_probe(&mut self, line: LineAddr) -> Option<Mesi> {
-        let idx = self.set_index(line);
-        // Read path first: an absent set (Mapped/Sparse) must not
-        // allocate storage the way `set_mut` would.
-        let pos = self.set(idx)?.iter().position(|e| e.line == line)?;
-        self.tick += 1;
-        let tick = self.tick;
-        let e = &mut self.set_mut(idx)[pos];
+        let tick = self.tick + 1;
+        let e = self.entry_mut(line)?;
         e.lru = tick;
-        Some(e.state)
+        let state = e.state;
+        self.tick = tick;
+        Some(state)
     }
 
     /// Set-state and touch in one scan: changes the state of a present
@@ -197,11 +259,8 @@ impl Cache {
     pub fn set_state_touch(&mut self, line: LineAddr, state: Mesi) {
         self.tick += 1;
         let tick = self.tick;
-        let idx = self.set_index(line);
         let e = self
-            .set_mut(idx)
-            .iter_mut()
-            .find(|e| e.line == line)
+            .entry_mut(line)
             .expect("set_state_touch of absent line");
         e.state = state;
         e.lru = tick;
@@ -220,13 +279,7 @@ impl Cache {
     pub fn touch(&mut self, line: LineAddr) {
         self.tick += 1;
         let tick = self.tick;
-        let idx = self.set_index(line);
-        let e = self
-            .set_mut(idx)
-            .iter_mut()
-            .find(|e| e.line == line)
-            .expect("touch of absent line");
-        e.lru = tick;
+        self.entry_mut(line).expect("touch of absent line").lru = tick;
     }
 
     /// Changes the state of a present line.
@@ -235,13 +288,9 @@ impl Cache {
     ///
     /// Panics if the line is not present.
     pub fn set_state(&mut self, line: LineAddr, state: Mesi) {
-        let idx = self.set_index(line);
-        let e = self
-            .set_mut(idx)
-            .iter_mut()
-            .find(|e| e.line == line)
-            .expect("set_state of absent line");
-        e.state = state;
+        self.entry_mut(line)
+            .expect("set_state of absent line")
+            .state = state;
     }
 
     /// Inserts `line` with `state`, evicting the LRU entry of a full set.
@@ -252,74 +301,88 @@ impl Cache {
     /// Panics if the line is already present (callers must use
     /// [`Cache::set_state`] for state changes).
     pub fn insert(&mut self, line: LineAddr, state: Mesi) -> Option<Victim> {
-        self.tick += 1;
-        let tick = self.tick;
-        let ways = self.geometry.ways as usize;
-        let idx = self.set_index(line);
-        let set = self.set_mut(idx);
         assert!(
-            !set.iter().any(|e| e.line == line),
+            !self.contains(line),
             "insert of already-present line {line}"
         );
-        let victim = if set.len() == ways {
-            let (vi, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.lru)
-                .expect("full set is nonempty");
-            let v = set.swap_remove(vi);
-            Some(Victim {
-                line: v.line,
-                state: v.state,
-            })
-        } else {
-            None
-        };
-        set.push(Entry {
+        self.tick += 1;
+        let entry = Entry {
             line,
             state,
-            lru: tick,
-        });
-        victim
+            lru: self.tick,
+        };
+        let ways = self.ways;
+        let idx = self.set_index(line);
+        let evicted = if let SetStore::Dense { slots, fill } = &mut self.sets {
+            let n = &mut fill[idx as usize];
+            let set = &mut slots[idx as usize * ways..][..ways];
+            // Evict as `Vec::swap_remove` would, then append.
+            let evicted = (*n as usize == ways).then(|| {
+                let vi = lru_position(set);
+                let v = set[vi];
+                set[vi] = set[ways - 1];
+                *n -= 1;
+                v
+            });
+            set[*n as usize] = entry;
+            *n += 1;
+            evicted
+        } else {
+            let set = self.set_vec(idx);
+            let evicted = (set.len() == ways).then(|| set.swap_remove(lru_position(set)));
+            set.push(entry);
+            evicted
+        };
+        evicted.map(|v| Victim {
+            line: v.line,
+            state: v.state,
+        })
     }
 
     /// Removes `line` (invalidation); returns its prior state if present.
     pub fn remove(&mut self, line: LineAddr) -> Option<Mesi> {
         let idx = self.set_index(line);
-        let set = match &mut self.sets {
-            SetStore::Dense(v) => &mut v[idx as usize],
-            SetStore::Mapped { slot_of_set, sets } => {
-                match slot_of_set.get(idx as usize).copied().unwrap_or(NO_SLOT) {
-                    NO_SLOT => return None,
-                    slot => &mut sets[slot as usize],
-                }
+        let pos = self.set(idx).iter().position(|e| e.line == line)?;
+        let removed = match &mut self.sets {
+            SetStore::Dense { slots, fill } => {
+                let n = &mut fill[idx as usize];
+                let set = &mut slots[idx as usize * self.ways..][..*n as usize];
+                let removed = set[pos];
+                set[pos] = set[*n as usize - 1];
+                *n -= 1;
+                removed
             }
-            SetStore::Sparse(m) => m.get_mut(&idx)?,
+            _ => self.set_vec(idx).swap_remove(pos),
         };
-        let pos = set.iter().position(|e| e.line == line)?;
-        Some(set.swap_remove(pos).state)
+        Some(removed.state)
     }
 
     /// Iterates over all resident lines and their states. Iteration
     /// order depends on the backing store; callers must not rely on it.
     pub fn lines(&self) -> impl Iterator<Item = (LineAddr, Mesi)> + '_ {
         let (dense, mapped, sparse) = match &self.sets {
-            SetStore::Dense(v) => (Some(v.iter()), None, None),
+            SetStore::Dense { slots, fill } => (Some((slots, fill)), None, None),
             SetStore::Mapped { sets, .. } => (None, Some(sets.iter()), None),
             SetStore::Sparse(m) => (None, None, Some(m.values())),
         };
-        dense
+        let dense = dense.into_iter().flat_map(|(slots, fill)| {
+            slots
+                .chunks(self.ways)
+                .zip(fill)
+                .flat_map(|(set, &n)| &set[..n as usize])
+        });
+        let vecs = mapped
             .into_iter()
             .flatten()
-            .chain(mapped.into_iter().flatten())
             .chain(sparse.into_iter().flatten())
-            .flat_map(|s| s.iter().map(|e| (e.line, e.state)))
+            .flatten();
+        dense.chain(vecs).map(|e| (e.line, e.state))
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
         match &self.sets {
-            SetStore::Dense(v) => v.iter().map(Vec::len).sum(),
+            SetStore::Dense { fill, .. } => fill.iter().map(|&n| n as usize).sum(),
             SetStore::Mapped { sets, .. } => sets.iter().map(Vec::len).sum(),
             SetStore::Sparse(m) => m.values().map(Vec::len).sum(),
         }
@@ -435,7 +498,7 @@ mod sparse_tests {
     #[test]
     fn paper_caches_stay_dense() {
         let c = Cache::new(CacheGeometry::new(32 * 1024, 8));
-        assert!(matches!(c.sets, SetStore::Dense(_)));
+        assert!(matches!(c.sets, SetStore::Dense { .. }));
     }
 
     #[test]

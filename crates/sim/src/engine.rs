@@ -21,8 +21,9 @@
 //! * [`errors`](crate::errors) — abort diagnostics ([`SimError`]).
 //!
 //! This module keeps only the state ([`Machine`]), the step loop
-//! ([`Machine::run`]), and the timed access path ([`Machine::do_access`]
-//! internally), which charges observer traffic on the timestamp bus.
+//! ([`Machine::run`], or [`Machine::run_stats`] without ground truth),
+//! and the timed access path ([`Machine::do_access`] internally), which
+//! charges observer traffic on the timestamp bus.
 
 use crate::config::MachineConfig;
 use crate::memsys::{MemEvent, MemorySystem};
@@ -209,6 +210,11 @@ impl<'w, O: MemoryObserver> Machine<'w, O> {
 
     /// Runs to completion, returning the output and the observer.
     ///
+    /// This is the run that verifies replay: it keeps the ground truth
+    /// ([`RunOutput::truth`]). A caller that reads only the statistics
+    /// should use [`Machine::run_stats`], which simulates the identical
+    /// run without paying for it.
+    ///
     /// # Errors
     ///
     /// * [`SimError::Deadlock`] — no core can make progress while
@@ -219,6 +225,33 @@ impl<'w, O: MemoryObserver> Machine<'w, O> {
     /// * [`SimError::CycleBudgetExceeded`] — simulated time passed the
     ///   watchdog's total budget.
     pub fn run(mut self) -> Result<(RunOutput, O), SimError> {
+        self.run_loop::<true>()?;
+        let (stats, observer, truth) = self.finish();
+        let truth = truth.into_summary();
+        Ok((RunOutput { stats, truth }, observer))
+    }
+
+    /// Runs to completion without ground truth, returning the
+    /// statistics and the observer.
+    ///
+    /// Every simulated cycle, statistic, observer callback and error is
+    /// identical to [`Machine::run`]'s: ground truth only watches the
+    /// committed accesses, and this is the same step loop compiled
+    /// without it. It returns no [`TruthSummary`], so a caller that
+    /// needs replay hashes cannot use it by mistake.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Machine::run`].
+    pub fn run_stats(mut self) -> Result<(SimStats, O), SimError> {
+        self.run_loop::<false>()?;
+        let (stats, observer, _) = self.finish();
+        Ok((stats, observer))
+    }
+
+    /// The step loop, compiled once with ground truth (`TRUTH`) for
+    /// [`Machine::run`] and once without it for [`Machine::run_stats`].
+    fn run_loop<const TRUTH: bool>(&mut self) -> Result<(), SimError> {
         loop {
             if self.pending_migration {
                 self.pending_migration = false;
@@ -233,29 +266,33 @@ impl<'w, O: MemoryObserver> Machine<'w, O> {
                         return Err(err);
                     }
                     loop {
-                        let at = self.ctxs[t].ready_at;
                         let heap_len = self.ready.len();
-                        self.step_core(t);
+                        self.step_core::<TRUTH>(t);
                         // Same-thread fast path: if the step left this
-                        // thread Ready on its core at an unchanged
-                        // ready time, pushed nothing onto the ready
-                        // heap, and requested no migration, then
-                        // re-pushing `(at, t)` and popping would return
-                        // `(at, t)` itself — it was the heap's minimum
-                        // when popped, every surviving entry is still
-                        // `>= (at, t)`, and no new entry appeared (heap
-                        // pushes are the only way another thread's key
-                        // can change). Skipping the round-trip is
-                        // therefore bit-identical to the slow path; the
-                        // watchdog re-check is also a no-op because the
-                        // simulated time `at` did not advance.
-                        let fast = self.ctxs[t].status == Status::Ready
-                            && self.ctxs[t].ready_at == at
+                        // thread Ready on its core, pushed nothing onto
+                        // the ready heap, requested no migration, and
+                        // left its key `(ready_at, t)` strictly below
+                        // the heap's top, then pushing that key and
+                        // popping would return it at once — every
+                        // heap entry (stale ones included) is above it,
+                        // and no new entry appeared (heap pushes are
+                        // the only way another thread's key can
+                        // change). The one thing the round-trip would
+                        // do besides is the watchdog check at the new
+                        // time, so it runs here (at an unchanged time
+                        // it passes again: progress only advances).
+                        let ctx = &self.ctxs[t];
+                        let key = (ctx.ready_at, t);
+                        let fast = ctx.status == Status::Ready
                             && !self.pending_migration
                             && self.ready.len() == heap_len
-                            && self.core_of[t].is_some();
+                            && self.core_of[t].is_some()
+                            && self.ready.peek().is_none_or(|top| key < top);
                         if !fast {
                             break;
+                        }
+                        if let Some(err) = self.watchdog_check(key.0) {
+                            return Err(err);
                         }
                         #[cfg(debug_assertions)]
                         self.assert_pick_matches_scan(Some(t));
@@ -275,7 +312,7 @@ impl<'w, O: MemoryObserver> Machine<'w, O> {
                 }
                 None => {
                     if self.ctxs.iter().all(|c| c.status == Status::Done) {
-                        break;
+                        return Ok(());
                     }
                     // Ready threads without cores + free cores => schedule.
                     if self.schedule_waiting_threads() {
@@ -289,10 +326,9 @@ impl<'w, O: MemoryObserver> Machine<'w, O> {
                 }
             }
         }
-        Ok(self.finish())
     }
 
-    fn finish(mut self) -> (RunOutput, O) {
+    fn finish(mut self) -> (SimStats, O, GroundTruth) {
         let n = self.ctxs.len();
         let mut instr_counts = vec![0u64; n];
         let mut per_core = vec![0u64; n];
@@ -315,13 +351,7 @@ impl<'w, O: MemoryObserver> Machine<'w, O> {
         self.stats.directory_home_busy = coh.home_busy_cycles;
         self.stats.directory_home_wait = coh.home_wait_cycles;
         self.observer.on_run_end(&instr_counts);
-        (
-            RunOutput {
-                stats: self.stats,
-                truth: self.truth.into_summary(),
-            },
-            self.observer,
-        )
+        (self.stats, self.observer, self.truth)
     }
 
     /// Snapshot of every unfinished thread for error reports.
@@ -366,9 +396,9 @@ impl<'w, O: MemoryObserver> Machine<'w, O> {
         None
     }
 
-    fn step_core(&mut self, c: usize) {
+    fn step_core<const TRUTH: bool>(&mut self, c: usize) {
         if let Some(step) = self.ctxs[c].steps.pop_front() {
-            self.exec_step(c, step);
+            self.exec_step::<TRUTH>(c, step);
             return;
         }
         let thread = self.ctxs[c].thread;
@@ -386,13 +416,20 @@ impl<'w, O: MemoryObserver> Machine<'w, O> {
                 // progress: spin re-polls never reach here.
                 self.last_progress = self.last_progress.max(self.ctxs[c].ready_at);
                 self.ctxs[c].op_idx += 1;
-                self.expand_op(c, *op);
+                self.expand_op::<TRUTH>(c, *op);
             }
         }
     }
 
     /// Executes one timed memory access; returns its completion cycle.
-    pub(crate) fn do_access(&mut self, c: usize, addr: Addr, kind: AccessKind) -> u64 {
+    /// Ground truth records the access only when `TRUTH` is set (see
+    /// [`Machine::run_stats`]).
+    pub(crate) fn do_access<const TRUTH: bool>(
+        &mut self,
+        c: usize,
+        addr: Addr,
+        kind: AccessKind,
+    ) -> u64 {
         let jitter = if self.cfg.jitter_cycles > 0 {
             u64::from(self.rng.gen_range(0..=self.cfg.jitter_cycles))
         } else {
@@ -493,7 +530,10 @@ impl<'w, O: MemoryObserver> Machine<'w, O> {
             }
         }
 
-        self.truth.commit(thread, instr_index, addr, kind);
+        self.memsys.recycle(res.events);
+        if TRUTH {
+            self.truth.commit(thread, instr_index, addr, kind);
+        }
         self.ctxs[c].instr += 1;
         self.ctxs[c].ready_at = res.done + stall;
 

@@ -61,6 +61,10 @@ pub struct MemorySystem {
     backend: BackendEnum,
     l1: Vec<Cache>,
     l2: Vec<Cache>,
+    /// The event buffer the next access fills: handed out in its
+    /// [`AccessResult`] and returned through [`MemorySystem::recycle`],
+    /// so a steady stream of accesses reuses one allocation.
+    spare_events: Vec<MemEvent>,
 }
 
 impl MemorySystem {
@@ -76,7 +80,15 @@ impl MemorySystem {
             backend,
             l1,
             l2,
+            spare_events: Vec::new(),
         }
+    }
+
+    /// Hands back a delivered [`AccessResult::events`] buffer for the
+    /// next access to refill.
+    pub(crate) fn recycle(&mut self, mut events: Vec<MemEvent>) {
+        events.clear();
+        self.spare_events = events;
     }
 
     /// The machine configuration.
@@ -104,7 +116,7 @@ impl MemorySystem {
     pub fn access(&mut self, core: CoreId, addr: Addr, write: bool, now: u64) -> AccessResult {
         let line = addr.line();
         let c = core.index();
-        let mut events = Vec::new();
+        let mut events = std::mem::take(&mut self.spare_events);
 
         // ---- L1 probe ----
         // `touch_probe` fuses the hit test with the LRU touch into one
@@ -179,60 +191,64 @@ impl MemorySystem {
         // ---- Full miss: coherence transaction ----
         let granted = self.backend.request(&mut self.buses, now, line);
 
-        let holders: Vec<usize> = (0..self.cfg.cores)
-            .filter(|&h| h != c && self.l2[h].contains(line))
-            .collect();
-
-        let (path, done, fill_state) = if holders.is_empty() {
-            // Memory supplies.
-            let state = if write {
-                Mesi::Modified
-            } else {
-                Mesi::Exclusive
+        // One scan over the other cores finds the supplier — the first
+        // owner (M/E), else the first holder — and, on a read, also
+        // downgrades every holder to Shared; a Modified holder's data
+        // also updates memory (posted write-back, charged by the
+        // backend). A write's read-for-ownership invalidates them all
+        // afterwards.
+        let mut first_holder = None;
+        let mut owner = None;
+        let mut dirty_writebacks = 0;
+        for h in (0..self.cfg.cores).filter(|&h| h != c) {
+            let Some(st) = self.l2[h].probe(line) else {
+                continue;
             };
-            (
-                AccessPath::FillFromMemory,
-                self.backend
-                    .memory_fill_done(&mut self.buses, granted, line),
-                state,
-            )
-        } else {
-            // A sibling cache supplies; prefer an owner (M/E).
-            let supplier = holders
-                .iter()
-                .copied()
-                .find(|&h| self.l2[h].probe(line).is_some_and(Mesi::writable))
-                .unwrap_or(holders[0]);
-            let mut dirty_writebacks = 0;
-            if write {
-                // Read-for-ownership: all holders invalidate.
-                self.invalidate_others(core, line, &mut events);
-            } else {
-                // Downgrade holders to Shared; a Modified holder's data
-                // also updates memory (posted write-back, charged by
-                // the backend).
-                for &h in &holders {
-                    let st = self.l2[h].probe(line).expect("holder has line");
-                    if st.dirty() {
-                        dirty_writebacks += 1;
-                    }
-                    if st != Mesi::Shared {
-                        self.l2[h].set_state(line, Mesi::Shared);
-                        if self.l1[h].contains(line) {
-                            self.l1[h].set_state(line, Mesi::Shared);
-                        }
-                    }
+            first_holder.get_or_insert(h);
+            if owner.is_none() && st.writable() {
+                owner = Some(h);
+            }
+            if !write && st != Mesi::Shared {
+                dirty_writebacks += usize::from(st.dirty());
+                self.l2[h].set_state(line, Mesi::Shared);
+                if self.l1[h].contains(line) {
+                    self.l1[h].set_state(line, Mesi::Shared);
                 }
             }
-            let done =
-                self.backend
-                    .sibling_fill_done(&mut self.buses, granted, line, dirty_writebacks);
-            let state = if write { Mesi::Modified } else { Mesi::Shared };
-            (
-                AccessPath::FillFromSibling(CoreId(supplier as u8)),
-                done,
-                state,
-            )
+        }
+
+        let (path, done, fill_state) = match owner.or(first_holder) {
+            None => {
+                // Memory supplies.
+                let state = if write {
+                    Mesi::Modified
+                } else {
+                    Mesi::Exclusive
+                };
+                (
+                    AccessPath::FillFromMemory,
+                    self.backend
+                        .memory_fill_done(&mut self.buses, granted, line),
+                    state,
+                )
+            }
+            Some(supplier) => {
+                if write {
+                    self.invalidate_others(core, line, &mut events);
+                }
+                let done = self.backend.sibling_fill_done(
+                    &mut self.buses,
+                    granted,
+                    line,
+                    dirty_writebacks,
+                );
+                let state = if write { Mesi::Modified } else { Mesi::Shared };
+                (
+                    AccessPath::FillFromSibling(CoreId(supplier as u8)),
+                    done,
+                    state,
+                )
+            }
         };
 
         self.fill_l2(core, line, fill_state, &mut events);

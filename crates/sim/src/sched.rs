@@ -45,6 +45,13 @@ impl ReadyQueue {
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
+
+    /// The smallest (possibly stale) key in the heap. Stale entries only
+    /// make a "below the top" test conservative: every valid entry is
+    /// at or above this key.
+    pub(crate) fn peek(&self) -> Option<(u64, usize)> {
+        self.heap.peek().map(|&Reverse(key)| key)
+    }
 }
 
 impl<O: MemoryObserver> Machine<'_, O> {

@@ -59,18 +59,18 @@ pub(crate) enum Step {
 
 impl<O: MemoryObserver> Machine<'_, O> {
     /// Expands one fetched workload op into this thread's step queue,
-    /// applying wait-side injection removals as it goes.
-    pub(crate) fn expand_op(&mut self, c: usize, op: Op) {
+    /// applying wait-side injection removals as it goes. A data read or
+    /// write executes at once instead: queued, it would be the very
+    /// next step, at the same simulated time.
+    pub(crate) fn expand_op<const TRUTH: bool>(&mut self, c: usize, op: Op) {
         let layout = self.workload.layout();
         match op {
-            Op::Read(a) => self.ctxs[c].steps.push_back(Step::Access {
-                addr: a,
-                kind: AccessKind::DataRead,
-            }),
-            Op::Write(a) => self.ctxs[c].steps.push_back(Step::Access {
-                addr: a,
-                kind: AccessKind::DataWrite,
-            }),
+            Op::Read(a) => {
+                self.do_access::<TRUTH>(c, a, AccessKind::DataRead);
+            }
+            Op::Write(a) => {
+                self.do_access::<TRUTH>(c, a, AccessKind::DataWrite);
+            }
             Op::Compute(n) => {
                 let ctx = &mut self.ctxs[c];
                 ctx.ready_at += u64::from(n);
@@ -133,14 +133,14 @@ impl<O: MemoryObserver> Machine<'_, O> {
     }
 
     /// Executes one micro-step of thread `c` to completion.
-    pub(crate) fn exec_step(&mut self, c: usize, step: Step) {
+    pub(crate) fn exec_step<const TRUTH: bool>(&mut self, c: usize, step: Step) {
         let layout = *self.workload.layout();
         match step {
             Step::Access { addr, kind } => {
-                self.do_access(c, addr, kind);
+                self.do_access::<TRUTH>(c, addr, kind);
             }
             Step::LockSpin(l) => {
-                self.do_access(c, layout.lock_addr(l), AccessKind::SyncRead);
+                self.do_access::<TRUTH>(c, layout.lock_addr(l), AccessKind::SyncRead);
                 let thread = self.ctxs[c].thread;
                 if self.sync.try_acquire(l, thread) {
                     self.ctxs[c].steps.push_front(Step::LockTake(l));
@@ -153,14 +153,14 @@ impl<O: MemoryObserver> Machine<'_, O> {
                 // Woken by a release that transferred us the lock: the
                 // re-read observes the releaser's sync write, which is
                 // the race outcome ordering release before acquire.
-                self.do_access(c, layout.lock_addr(l), AccessKind::SyncRead);
+                self.do_access::<TRUTH>(c, layout.lock_addr(l), AccessKind::SyncRead);
                 self.ctxs[c].steps.push_front(Step::LockTake(l));
             }
             Step::LockTake(l) => {
-                self.do_access(c, layout.lock_addr(l), AccessKind::SyncWrite);
+                self.do_access::<TRUTH>(c, layout.lock_addr(l), AccessKind::SyncWrite);
             }
             Step::Release(l) => {
-                let done = self.do_access(c, layout.lock_addr(l), AccessKind::SyncWrite);
+                let done = self.do_access::<TRUTH>(c, layout.lock_addr(l), AccessKind::SyncWrite);
                 let thread = self.ctxs[c].thread;
                 if let Some(next) = self.sync.release(l, thread) {
                     self.wake(next, done, Step::LockGranted(l));
@@ -174,17 +174,17 @@ impl<O: MemoryObserver> Machine<'_, O> {
                     // waiters livelock until the watchdog fires.
                     return;
                 }
-                let done = self.do_access(c, layout.flag_addr(g), AccessKind::SyncWrite);
+                let done = self.do_access::<TRUTH>(c, layout.flag_addr(g), AccessKind::SyncWrite);
                 for tid in self.sync.flag_set(g) {
                     self.wake(tid, done, Step::WaitFlag(g));
                 }
             }
             Step::ResetFlag(g) => {
-                self.do_access(c, layout.flag_addr(g), AccessKind::SyncWrite);
+                self.do_access::<TRUTH>(c, layout.flag_addr(g), AccessKind::SyncWrite);
                 self.sync.flag_reset(g);
             }
             Step::WaitFlag(g) => {
-                self.do_access(c, layout.flag_addr(g), AccessKind::SyncRead);
+                self.do_access::<TRUTH>(c, layout.flag_addr(g), AccessKind::SyncRead);
                 if !self.sync.flag_is_set(g) {
                     if let Some(spin) = self.cfg.flag_spin_cycles {
                         // Spin-wait: stay Ready and re-poll after a
@@ -246,13 +246,13 @@ impl<O: MemoryObserver> Machine<'_, O> {
                 }
             }
             Step::CasAttempt(a) => {
-                self.do_access(c, layout.atomic_addr(a), AccessKind::SyncRead);
+                self.do_access::<TRUTH>(c, layout.atomic_addr(a), AccessKind::SyncRead);
                 let seen = self.sync.atomic_version(a);
                 self.ctxs[c].steps.push_front(Step::CasCommit(a, seen));
             }
             Step::CasCommit(a, seen) => {
                 if self.sync.atomic_version(a) == seen {
-                    self.do_access(c, layout.atomic_addr(a), AccessKind::SyncWrite);
+                    self.do_access::<TRUTH>(c, layout.atomic_addr(a), AccessKind::SyncWrite);
                     self.sync.atomic_bump(a);
                 } else {
                     // Lost the race to another committer: the CAS
@@ -263,11 +263,11 @@ impl<O: MemoryObserver> Machine<'_, O> {
                 }
             }
             Step::RmwAcquire(a) => {
-                self.do_access(c, layout.atomic_addr(a), AccessKind::SyncRead);
+                self.do_access::<TRUTH>(c, layout.atomic_addr(a), AccessKind::SyncRead);
                 self.ctxs[c].steps.push_front(Step::RmwCommit(a));
             }
             Step::RmwCommit(a) => {
-                self.do_access(c, layout.atomic_addr(a), AccessKind::SyncWrite);
+                self.do_access::<TRUTH>(c, layout.atomic_addr(a), AccessKind::SyncWrite);
                 self.sync.atomic_bump(a);
             }
             Step::BarrierUnlock(b) => {

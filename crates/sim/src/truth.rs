@@ -90,7 +90,9 @@ impl GroundTruth {
         GroundTruth {
             versions: Vec::new(),
             thread_hashes: vec![FNV_OFFSET; threads],
-            pending: Vec::with_capacity(FOLD_CHUNK),
+            // Grown on the first commit, so a machine whose run keeps
+            // no truth (`Machine::run_stats`) allocates no buffer.
+            pending: Vec::new(),
             resolved: capture_resolved.then(|| vec![Vec::new(); threads]),
             total_writes: 0,
             total_reads: 0,

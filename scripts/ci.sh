@@ -9,6 +9,12 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test --release --workspace --quiet
 
+echo "== simulator tests (debug: the ready-heap vs linear-scan cross-check is on) =="
+# Release builds compile out `assert_pick_matches_scan`, so only a
+# debug build checks every scheduling pick, same-thread fast path
+# included, against the linear scan it replaced.
+cargo test -p cord-sim --quiet
+
 echo "== clippy (deny warnings; unwrap_used denied outside tests) =="
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p cord-sim --all-targets -- -D warnings
