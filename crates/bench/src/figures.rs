@@ -67,15 +67,6 @@ impl FigureTable {
         self.rows.push(("Average".to_string(), avg));
         self
     }
-
-    /// The `Average` row's value for a column label, if present.
-    pub fn average_of(&self, column: &str) -> Option<f64> {
-        let c = self.columns.iter().position(|x| x == column)?;
-        self.rows
-            .iter()
-            .find(|(label, _)| label == "Average")
-            .and_then(|(_, vs)| vs.get(c).copied().flatten())
-    }
 }
 
 impl fmt::Display for FigureTable {

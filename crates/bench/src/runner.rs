@@ -211,11 +211,6 @@ impl SweepRunner {
         &self.opts
     }
 
-    /// The configured worker count.
-    pub fn job_count(&self) -> usize {
-        self.jobs
-    }
-
     /// Sweeps every configured application against `configs`.
     ///
     /// # Errors

@@ -149,11 +149,6 @@ impl<S> LineHistory<S> {
         &self.entries
     }
 
-    /// Mutable entries in push order (oldest first).
-    pub fn entries_mut(&mut self) -> &mut [HistEntry<S>] {
-        &mut self.entries
-    }
-
     /// The newest entry, if any.
     pub fn newest(&self) -> Option<&HistEntry<S>> {
         self.entries.last()

@@ -17,7 +17,6 @@
 //! segments may run in any fixed order without changing the outcome.
 
 use crate::record::LogEntry;
-use cord_sim::observer::AccessKind;
 use cord_sim::truth::{GroundTruth, ResolvedAccess};
 use cord_trace::types::ThreadId;
 use std::fmt;
@@ -150,13 +149,6 @@ pub fn replay_and_verify(
     })
 }
 
-/// Convenience: `true` iff `kind` is an access the replayer must commit
-/// (all of them — kept for API symmetry and future filtering).
-pub fn is_replayable(kind: AccessKind) -> bool {
-    let _ = kind;
-    true
-}
-
 /// Concurrency available during replay (§2.7.1 notes "optimizations are
 /// possible to allow some concurrency in replay" as future work).
 ///
@@ -213,6 +205,7 @@ pub fn replay_parallelism(log: &[LogEntry]) -> ReplayParallelism {
 mod tests {
     use super::*;
     use cord_clocks::scalar::ScalarTime;
+    use cord_sim::observer::AccessKind;
     use cord_trace::types::Addr;
 
     fn t(i: u16) -> ThreadId {

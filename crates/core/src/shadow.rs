@@ -35,13 +35,13 @@ enum SlotState {
 /// a structure of arrays: a one-byte-per-slot occupancy array probed on
 /// the hot path, and a parallel value array touched only on live slots.
 ///
-/// `get`/`get_mut`/`insert`/`remove` are O(1) vector indexing; the
+/// `get`/`get_mut`/`insert`/`vacate` are O(1) vector indexing; the
 /// presence test reads a single dense byte, so scanning several spaces
 /// for the same index (the detector's remote-core probe) stays friendly
 /// to the cache even when the values themselves are large. Iteration is
 /// O(capacity) over the state array in index order.
 ///
-/// Vacating instead of removing ([`ShadowSpace::vacate`]) parks the
+/// Vacating a slot ([`ShadowSpace::vacate`]) parks the
 /// value in place, so per-slot heap buffers (history vectors, clock
 /// allocations) survive an occupant's removal and are reused by the next
 /// [`ShadowSpace::entry_or_default`] — the arena behaviour the detectors
@@ -127,21 +127,6 @@ impl<T: Default> ShadowSpace<T> {
         }
     }
 
-    /// Removes and returns the value at `index`, resetting the slot to
-    /// `T::default()`. Prefer [`ShadowSpace::vacate`] on hot paths — it
-    /// keeps the occupant's buffers parked in the slot for reuse.
-    #[inline]
-    pub fn remove(&mut self, index: usize) -> Option<T> {
-        match self.state.get(index) {
-            Some(SlotState::Live) => {
-                self.state[index] = SlotState::Empty;
-                self.len -= 1;
-                Some(std::mem::take(&mut self.values[index]))
-            }
-            _ => None,
-        }
-    }
-
     /// Vacates the slot at `index`, returning a mutable reference the
     /// caller uses to drain the occupant in place. The value stays
     /// parked in the slot with its heap buffers intact and will be
@@ -181,24 +166,6 @@ impl<T: Default> ShadowSpace<T> {
             }
         }
         &mut self.values[index]
-    }
-
-    /// Iterates occupied slots as `(index, &value)` in index order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.state
-            .iter()
-            .zip(self.values.iter())
-            .enumerate()
-            .filter_map(|(i, (s, v))| (*s == SlotState::Live).then_some((i, v)))
-    }
-
-    /// Iterates occupied slots mutably in index order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut T)> {
-        self.state
-            .iter()
-            .zip(self.values.iter_mut())
-            .enumerate()
-            .filter_map(|(i, (s, v))| (*s == SlotState::Live).then_some((i, v)))
     }
 
     /// Iterates occupied values in index order.
@@ -263,18 +230,6 @@ impl<T: Default> LineTable<T> {
         self.space.get_mut(dense_line_index(line))
     }
 
-    /// Inserts state for `line`, returning the previous occupant.
-    #[inline]
-    pub fn insert(&mut self, line: LineAddr, value: T) -> Option<T> {
-        self.space.insert(dense_line_index(line), value)
-    }
-
-    /// Removes and returns the state for `line`.
-    #[inline]
-    pub fn remove(&mut self, line: LineAddr) -> Option<T> {
-        self.space.remove(dense_line_index(line))
-    }
-
     /// Vacates the state for `line` in place — see
     /// [`ShadowSpace::vacate`] for the drain-before-drop contract.
     #[inline]
@@ -305,7 +260,7 @@ mod tests {
     use cord_trace::layout::SYNC_BASE_LINE;
 
     #[test]
-    fn insert_get_remove_roundtrip() {
+    fn insert_get_vacate_roundtrip() {
         let mut s: ShadowSpace<u32> = ShadowSpace::new();
         assert!(s.is_empty());
         assert_eq!(s.insert(5, 7), None);
@@ -313,8 +268,8 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(5), Some(&9));
         assert_eq!(s.get(4), None);
-        assert_eq!(s.remove(5), Some(9));
-        assert_eq!(s.remove(5), None);
+        assert_eq!(s.vacate(5).copied(), Some(9));
+        assert_eq!(s.vacate(5), None);
         assert!(s.is_empty());
     }
 
@@ -333,19 +288,19 @@ mod tests {
         s.insert(9, "c");
         s.insert(0, "a");
         s.insert(4, "b");
-        let got: Vec<_> = s.iter().collect();
-        assert_eq!(got, vec![(0, &"a"), (4, &"b"), (9, &"c")]);
+        let got: Vec<_> = s.values().collect();
+        assert_eq!(got, vec![&"a", &"b", &"c"]);
     }
 
     #[test]
     fn line_table_separates_bands() {
         let mut t: LineTable<u64> = LineTable::new();
-        t.insert(LineAddr(0), 10);
-        t.insert(LineAddr(SYNC_BASE_LINE), 20);
+        *t.entry_or_default(LineAddr(0)) = 10;
+        *t.entry_or_default(LineAddr(SYNC_BASE_LINE)) = 20;
         assert_eq!(t.get(LineAddr(0)), Some(&10));
         assert_eq!(t.get(LineAddr(SYNC_BASE_LINE)), Some(&20));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.remove(LineAddr(0)), Some(10));
+        assert_eq!(t.vacate(LineAddr(0)).copied(), Some(10));
         assert_eq!(t.get(LineAddr(0)), None);
     }
 
@@ -353,7 +308,7 @@ mod tests {
     fn line_table_values_deterministic() {
         let mut t: LineTable<u64> = LineTable::new();
         for l in [7u64, 3, 5, 1] {
-            t.insert(LineAddr(l), l);
+            *t.entry_or_default(LineAddr(l)) = l;
         }
         let vals: Vec<u64> = t.values().copied().collect();
         assert_eq!(vals, vec![1, 3, 5, 7]);

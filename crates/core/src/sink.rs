@@ -331,11 +331,6 @@ impl<O> LatencyObserver<O> {
         &self.inner
     }
 
-    /// The wrapped observer, mutably.
-    pub fn inner_mut(&mut self) -> &mut O {
-        &mut self.inner
-    }
-
     /// The latency histogram collected so far.
     pub fn histogram(&self) -> &cord_obs::Histogram {
         &self.hist

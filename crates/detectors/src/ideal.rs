@@ -16,9 +16,21 @@
 //! * a synchronization write stores the writer's clock on the sync word;
 //!   a synchronization read joins the stored clock into the reader
 //!   (this captures exactly the race outcomes synchronization produces);
-//! * each word keeps, per thread, the vector time of its last read and
-//!   last write; a data access races with every conflicting last access
-//!   that is not happens-before the accessor's current clock.
+//! * each word keeps, per thread, the time of its last read and last
+//!   write; a data access races with every conflicting last access that
+//!   is not happens-before the accessor's current clock.
+//!
+//! A last access is stored as its thread's *epoch* (FastTrack's
+//! representation): the accessing thread `u`'s own clock component
+//! instead of its whole vector. That is exact here. A clock `C` taken
+//! at `u`'s access is ordered before thread `t`'s clock `V` iff
+//! `C[u] <= V[u]`: only a synchronization write publishes a clock, and
+//! `u` ticks right after it, so any published clock whose `u` component
+//! reaches `C[u]` was published by `u` at or after the access and
+//! dominates `C`; `V` can only have learned that component by joining
+//! such a clock (directly or through other threads' releases). So the
+//! race test is one comparison, `epoch > V[u]`, and only a word's first
+//! data access allocates (the word's row).
 //!
 //! No clock updates happen on data races: unlike CORD (Figure 3), the
 //! oracle must keep detecting the later races a problem causes.
@@ -47,22 +59,28 @@ pub struct IdealRace {
     pub instr_index: u64,
 }
 
-#[derive(Debug, Clone, Default)]
-struct WordHistory {
-    /// Per-thread (vector time of last read, version counter), indexed
-    /// by thread.
-    last_read: ShadowSpace<(VectorClock, u64)>,
-    /// Per-thread (vector time of last write, version counter), indexed
-    /// by thread.
-    last_write: ShadowSpace<(VectorClock, u64)>,
+/// One thread's last read or last write of a word: the thread's own
+/// clock component at the access (its epoch) and the access's version
+/// number. `(0, 0)` is "never accessed": epochs start at 1, so an empty
+/// slot never compares as concurrent.
+#[derive(Debug, Clone, Copy, Default)]
+struct LastAccess {
+    epoch: u64,
+    version: u64,
 }
 
 /// The Ideal oracle detector.
 #[derive(Debug)]
 pub struct IdealDetector {
     vcs: Vec<VectorClock>,
-    /// Per-word shadow histories, indexed by the dense word index.
-    words: ShadowSpace<WordHistory>,
+    /// Per dense word index: 1 + the word's row in `slots`, or 0 for a
+    /// word no data access has touched. Rows are allocated on first
+    /// touch, so untouched words cost four bytes however many threads
+    /// there are.
+    rows: Vec<u32>,
+    /// Touched words' rows, each `2 * threads` slots: the last write
+    /// per thread, then the last read per thread.
+    slots: Vec<LastAccess>,
     /// Last synchronization-write clock per sync word, indexed by the
     /// dense word index.
     release: ShadowSpace<VectorClock>,
@@ -85,7 +103,8 @@ impl IdealDetector {
                     vc
                 })
                 .collect(),
-            words: ShadowSpace::new(),
+            rows: Vec::new(),
+            slots: Vec::new(),
             release: ShadowSpace::new(),
             races: Vec::new(),
             reported: HashSet::new(),
@@ -119,24 +138,49 @@ impl IdealDetector {
         &self.vcs[thread.index()]
     }
 
-    fn report(&mut self, ev: &AccessEvent, other_tid: u16, version: u64, other_was_write: bool) {
-        let key = (
-            ev.thread.0,
-            ev.addr.byte(),
-            other_tid,
-            version,
-            other_was_write,
-        );
-        if self.reported.insert(key) {
-            self.races.push(IdealRace {
-                thread: ev.thread,
-                addr: ev.addr,
-                kind: ev.kind,
-                other_thread: ThreadId(other_tid),
-                other_was_write,
-                instr_index: ev.instr_index,
-            });
+    /// Where `word`'s row starts in `slots`, allocating the row on
+    /// first touch.
+    fn row_start(&mut self, word: usize) -> usize {
+        let width = 2 * self.vcs.len();
+        if word >= self.rows.len() {
+            self.rows.resize(word + 1, 0);
         }
+        if self.rows[word] == 0 {
+            self.slots
+                .resize(self.slots.len() + width, LastAccess::default());
+            self.rows[word] =
+                u32::try_from(self.slots.len() / width).expect("touched words fit in u32");
+        }
+        (self.rows[word] as usize - 1) * width
+    }
+}
+
+/// Records one race, once per (detecting thread, word, other thread,
+/// other access, other access's mode).
+fn report(
+    races: &mut Vec<IdealRace>,
+    reported: &mut HashSet<(u16, u64, u16, u64, bool)>,
+    ev: &AccessEvent,
+    other_tid: u16,
+    version: u64,
+    other_was_write: bool,
+) {
+    let key = (
+        ev.thread.0,
+        ev.addr.byte(),
+        other_tid,
+        version,
+        other_was_write,
+    );
+    if reported.insert(key) {
+        races.push(IdealRace {
+            thread: ev.thread,
+            addr: ev.addr,
+            kind: ev.kind,
+            other_thread: ThreadId(other_tid),
+            other_was_write,
+            instr_index: ev.instr_index,
+        });
     }
 }
 
@@ -198,44 +242,35 @@ impl MemoryObserver for IdealDetector {
             AccessKind::DataRead | AccessKind::DataWrite => {
                 let is_write = ev.kind == AccessKind::DataWrite;
                 self.next_version += 1;
-                let version = self.next_version;
-                // A write races with concurrent reads and writes; a read
-                // races with concurrent writes only.
-                let mut found: Vec<(u16, u64, bool)> = Vec::new();
+                let threads = self.vcs.len();
+                let start = self.row_start(dense_word_index(ev.addr));
+                let row = &mut self.slots[start..start + 2 * threads];
                 let my_vc = &self.vcs[t];
-                let hist = self.words.entry_or_default(dense_word_index(ev.addr));
-                for (tid, (vc, ver)) in hist.last_write.iter() {
-                    if tid != t && !vc.le(my_vc) {
-                        found.push((tid as u16, *ver, true));
+                // A write races with concurrent reads and writes; a read
+                // races with concurrent writes only. The row holds the
+                // writes first, so both are a prefix scan.
+                let checked = if is_write { 2 * threads } else { threads };
+                for (i, last) in row[..checked].iter().enumerate() {
+                    let (u, other_was_write) = if i < threads {
+                        (i, true)
+                    } else {
+                        (i - threads, false)
+                    };
+                    if u != t && last.epoch > my_vc.component(u) {
+                        report(
+                            &mut self.races,
+                            &mut self.reported,
+                            ev,
+                            u as u16,
+                            last.version,
+                            other_was_write,
+                        );
                     }
                 }
-                if is_write {
-                    for (tid, (vc, ver)) in hist.last_read.iter() {
-                        if tid != t && !vc.le(my_vc) {
-                            found.push((tid as u16, *ver, false));
-                        }
-                    }
-                }
-                // Record this access as the thread's latest, reusing the
-                // slot's clock allocation when the thread touched the
-                // word before.
-                let slot = if is_write {
-                    &mut hist.last_write
-                } else {
-                    &mut hist.last_read
+                row[if is_write { t } else { threads + t }] = LastAccess {
+                    epoch: my_vc.component(t),
+                    version: self.next_version,
                 };
-                match slot.get_mut(t) {
-                    Some(entry) => {
-                        entry.0.assign(my_vc);
-                        entry.1 = version;
-                    }
-                    None => {
-                        slot.insert(t, (my_vc.clone(), version));
-                    }
-                }
-                for (tid, ver, other_was_write) in found {
-                    self.report(ev, tid, ver, other_was_write);
-                }
             }
         }
         ObserverOutcome::NONE

@@ -93,32 +93,64 @@ pub struct VcRace {
     pub instr_index: u64,
 }
 
+/// One core's state for one line: its two-entry history plus what the
+/// detector keeps beside it. Lives in an arena slot
+/// ([`LineTable::vacate`]); a vacated slot has no entries and no shed
+/// bound, and `version` and `newest_from` are read only while the
+/// history has entries, which a later access rewrites first.
+#[derive(Debug, Default)]
+struct VcLine {
+    hist: LineHistory<VectorClock>,
+    /// Version number of this core's latest access to the line: the
+    /// race de-duplication key for conflicts with this history.
+    version: u64,
+    /// `(thread, clock generation)` known to equal the newest entry's
+    /// stamp, so a repeat access under an unchanged clock skips the
+    /// vector comparison.
+    newest_from: (usize, u64),
+    /// Join of all *write-carrying* stamps displaced from this line's
+    /// history while it stayed resident — the vector analogue of
+    /// CORD's shed-write bound. A sync read must join this too, or a
+    /// release displaced by spin-read stamps would be lost and
+    /// lock-protected data would look concurrent.
+    shed_writes: Option<VectorClock>,
+}
+
 /// Vector-clock detector with CORD's buffering structure.
+///
+/// Stamps are compared with the full vector `le`, not an epoch test: a
+/// race join publishes a thread's clock into its history entries in
+/// the middle of an epoch, so a stamp taken on thread `u` can carry
+/// another thread's component that `u`'s own component does not imply
+/// (`tests::epoch_test_would_miss_a_mid_epoch_join`).
 #[derive(Debug)]
 pub struct VcLimitedDetector {
     cfg: VcConfig,
     vcs: Vec<VectorClock>,
-    hist: Vec<LineTable<LineHistory<VectorClock>>>,
+    /// Per thread: bumped whenever the thread's clock may have changed,
+    /// so `(thread, generation)` names one clock value.
+    gens: Vec<u64>,
+    /// Per core, per line (dense line index).
+    lines: Vec<LineTable<VcLine>>,
     mem_read_vc: VectorClock,
     mem_write_vc: VectorClock,
     races: Vec<VcRace>,
     reported: HashSet<(u16, u64, u8, u64)>,
-    /// Per core: version counter of the line's latest stamp, indexed by
-    /// the dense line index.
-    stamp_versions: Vec<LineTable<u64>>,
     /// Per-core running join of every stamp the core's cache recorded;
     /// a thread scheduled onto the core joins it (§2.7.4's "synchronize
     /// on migration", which "also applies to vector-clock schemes").
     core_join: Vec<VectorClock>,
-    /// Per core, per line: join of all *write-carrying* stamps displaced
-    /// from that line's two-entry history while it stayed resident — the
-    /// vector analogue of CORD's shed-write bound. A sync read must join
-    /// this too, or a release displaced by spin-read stamps would be
-    /// lost and lock-protected data would look concurrent.
-    shed_writes: Vec<LineTable<VectorClock>>,
+    /// Per core: the `(thread, generation)` last joined into
+    /// `core_join`, so an unchanged clock is not joined again.
+    core_joined: Vec<(usize, u64)>,
     next_version: u64,
-    /// Reusable buffer for entries drained on line removal, so evictions
-    /// do not allocate in steady state.
+    /// The join of the stamps one access must absorb, accumulated
+    /// against the access's starting clock and applied once at the end.
+    join_acc: VectorClock,
+    /// Stamps freed by displacement and line removal, reused for new
+    /// history entries so steady-state accesses do not allocate.
+    spare: Vec<VectorClock>,
+    /// Reusable buffer for entries drained on line removal.
     fold_scratch: Vec<cord_core::history::HistEntry<VectorClock>>,
 }
 
@@ -137,15 +169,17 @@ impl VcLimitedDetector {
                     vc
                 })
                 .collect(),
-            hist: (0..cores).map(|_| LineTable::new()).collect(),
+            gens: vec![0; threads],
+            lines: (0..cores).map(|_| LineTable::new()).collect(),
             mem_read_vc: VectorClock::new(threads),
             mem_write_vc: VectorClock::new(threads),
             core_join: (0..cores).map(|_| VectorClock::new(threads)).collect(),
+            core_joined: vec![(usize::MAX, 0); cores],
             races: Vec::new(),
             reported: HashSet::new(),
-            stamp_versions: (0..cores).map(|_| LineTable::new()).collect(),
-            shed_writes: (0..cores).map(|_| LineTable::new()).collect(),
             next_version: 0,
+            join_acc: VectorClock::new(threads),
+            spare: Vec::new(),
             fold_scratch: Vec::new(),
         }
     }
@@ -220,6 +254,16 @@ impl cord_core::DetectorSink for VcLimitedDetector {
     }
 }
 
+/// Folds `stamp` into the access's join accumulator.
+fn absorb(acc: &mut VectorClock, any: &mut bool, stamp: &VectorClock) {
+    if *any {
+        acc.join(stamp);
+    } else {
+        acc.assign(stamp);
+        *any = true;
+    }
+}
+
 impl MemoryObserver for VcLimitedDetector {
     fn on_access(&mut self, ev: &AccessEvent) -> ObserverOutcome {
         let t = ev.thread.index();
@@ -228,6 +272,11 @@ impl MemoryObserver for VcLimitedDetector {
         let word = ev.addr.word_in_line();
         let is_write = ev.kind.is_write();
         let is_sync = ev.kind.is_sync();
+        let sync_read = ev.kind == AccessKind::SyncRead;
+        // Synchronization always joins; a race joins only under
+        // `join_on_races` (the Ideal oracle's choice is not to).
+        let joins_apply = is_sync || self.cfg.join_on_races;
+        let mut any_join = false;
 
         // -- Remote comparisons. The hardware cost model (race-check
         // broadcasts, filters) is evaluated on the CORD detector; here
@@ -238,119 +287,116 @@ impl MemoryObserver for VcLimitedDetector {
         // actual conflicts and synchronization: exact happens-before
         // needs no conservative response-tag ordering, which is exactly
         // why the paper's VC baseline detects *more* than CORD.
-        let mut joins: Vec<VectorClock> = Vec::new();
-        let mut found: Vec<(u8, u64)> = Vec::new();
-        {
-            let my_vc = &self.vcs[t];
-            for core in 0..self.hist.len() {
-                if core == my_core {
-                    continue;
-                }
-                let Some(h) = self.hist[core].get(line) else {
-                    continue;
-                };
-                for e in h.entries() {
-                    let conflict = e.conflicts_with(word, is_write);
-                    // A sync read joins every entry of the variable's
-                    // line.
-                    let sync_order = ev.kind == AccessKind::SyncRead;
-                    if (conflict || sync_order) && !e.stamp.le(my_vc) {
-                        if conflict && !is_sync {
-                            let version = self.stamp_versions[core].get(line).copied().unwrap_or(0);
-                            found.push((core as u8, version));
+        // Every test is against the access's starting clock; the joins
+        // it triggers are accumulated and applied once below.
+        let my_vc = &self.vcs[t];
+        for (core, table) in self.lines.iter().enumerate() {
+            if core == my_core {
+                continue;
+            }
+            let Some(l) = table.get(line) else {
+                continue;
+            };
+            for e in l.hist.entries() {
+                let conflict = e.conflicts_with(word, is_write);
+                // A sync read joins every entry of the variable's line.
+                if (conflict || sync_read) && !e.stamp.le(my_vc) {
+                    if conflict && !is_sync {
+                        let key = (ev.thread.0, ev.addr.byte(), core as u8, l.version);
+                        if self.reported.insert(key) {
+                            self.races.push(VcRace {
+                                thread: ev.thread,
+                                addr: ev.addr,
+                                kind: ev.kind,
+                                other_core: CoreId(core as u8),
+                                instr_index: ev.instr_index,
+                            });
                         }
-                        joins.push(e.stamp.clone());
                     }
-                }
-                if ev.kind == AccessKind::SyncRead {
-                    // ...plus any displaced release stamps.
-                    if let Some(shed) = self.shed_writes[core].get(line) {
-                        if !shed.le(my_vc) {
-                            joins.push(shed.clone());
-                        }
+                    if joins_apply {
+                        absorb(&mut self.join_acc, &mut any_join, &e.stamp);
                     }
                 }
             }
-        }
-        for (core, version) in found {
-            let key = (ev.thread.0, ev.addr.byte(), core, version);
-            if self.reported.insert(key) {
-                self.races.push(VcRace {
-                    thread: ev.thread,
-                    addr: ev.addr,
-                    kind: ev.kind,
-                    other_core: CoreId(core),
-                    instr_index: ev.instr_index,
-                });
+            if sync_read {
+                // ...plus any displaced release stamps.
+                if let Some(shed) = &l.shed_writes {
+                    if !shed.le(my_vc) {
+                        absorb(&mut self.join_acc, &mut any_join, shed);
+                    }
+                }
             }
         }
 
         // -- Memory path: the vector analogue of the main-memory
         // timestamps (§2.5). Never reported; joined on memory responses.
-        if ev.path.from_memory() {
-            let mem = if is_write {
-                let mut m = self.mem_write_vc.clone();
-                m.join(&self.mem_read_vc);
-                m
-            } else {
-                self.mem_write_vc.clone()
-            };
-            if !mem.le(&self.vcs[t]) {
-                joins.push(mem);
+        // A write absorbs both memory clocks, a read the write clock;
+        // `a ⊔ b <= c` iff `a <= c` and `b <= c`, so neither is copied.
+        if ev.path.from_memory()
+            && joins_apply
+            && !(self.mem_write_vc.le(my_vc) && (!is_write || self.mem_read_vc.le(my_vc)))
+        {
+            absorb(&mut self.join_acc, &mut any_join, &self.mem_write_vc);
+            if is_write {
+                self.join_acc.join(&self.mem_read_vc);
             }
         }
 
-        // -- Clock updates.
-        if is_sync || self.cfg.join_on_races {
-            for j in &joins {
-                self.vcs[t].join(j);
-            }
-        } else {
-            // Only synchronization-induced joins apply.
-            for j in &joins {
-                if ev.kind == AccessKind::SyncRead {
-                    self.vcs[t].join(j);
-                }
-            }
+        // -- Clock update.
+        if any_join {
+            self.vcs[t].join(&self.join_acc);
+            self.gens[t] += 1;
         }
+        let gen = self.gens[t];
 
-        // -- Update local history with the (possibly joined) clock. The
-        // clock is only cloned when a new stamp entry is actually
-        // pushed; repeat accesses under an unchanged clock stay
-        // allocation-free.
-        let ts_per_line = if self.cfg.ts_per_line == usize::MAX {
-            usize::MAX
-        } else {
-            self.cfg.ts_per_line
+        // -- Update local history with the (possibly joined) clock. A
+        // new entry is pushed only when the clock differs from the
+        // newest stamp, on a recycled stamp vector.
+        let l = self.lines[my_core].entry_or_default(line);
+        let unchanged = match l.hist.newest() {
+            Some(e) => l.newest_from == (t, gen) || e.stamp == self.vcs[t],
+            None => false,
         };
-        let h = self.hist[my_core].entry_or_default(line);
-        let displaced = if h.newest().map(|e| &e.stamp) == Some(&self.vcs[t]) {
+        l.newest_from = (t, gen);
+        let displaced = if unchanged {
             None
         } else {
-            h.push_stamp(self.vcs[t].clone(), ts_per_line)
+            let mut stamp = self.spare.pop().unwrap_or_default();
+            stamp.assign(&self.vcs[t]);
+            l.hist.push_stamp(stamp, self.cfg.ts_per_line)
         };
-        h.newest_mut().expect("just ensured").set(word, is_write);
-        self.core_join[my_core].join(&self.vcs[t]);
+        l.hist
+            .newest_mut()
+            .expect("just ensured")
+            .set(word, is_write);
         self.next_version += 1;
-        self.stamp_versions[my_core].insert(line, self.next_version);
+        l.version = self.next_version;
         if let Some(old) = displaced {
             if old.any_read() {
                 self.mem_read_vc.join(&old.stamp);
             }
-            if old.any_written() {
+            if !old.any_written() {
+                self.spare.push(old.stamp);
+            } else {
                 self.mem_write_vc.join(&old.stamp);
-                match self.shed_writes[my_core].get_mut(line) {
-                    Some(vc) => vc.join(&old.stamp),
-                    None => {
-                        self.shed_writes[my_core].insert(line, old.stamp);
+                match &mut l.shed_writes {
+                    Some(vc) => {
+                        vc.join(&old.stamp);
+                        self.spare.push(old.stamp);
                     }
+                    None => l.shed_writes = Some(old.stamp),
                 }
             }
+        }
+        if self.core_joined[my_core] != (t, gen) {
+            self.core_join[my_core].join(&self.vcs[t]);
+            self.core_joined[my_core] = (t, gen);
         }
 
         // -- Tick after synchronization writes.
         if ev.kind == AccessKind::SyncWrite {
             self.vcs[t].tick(t);
+            self.gens[t] += 1;
         }
 
         ObserverOutcome::NONE
@@ -362,15 +408,16 @@ impl MemoryObserver for VcLimitedDetector {
         _from: CoreId,
         to: CoreId,
     ) {
-        let join = self.core_join[to.index()].clone();
-        self.vcs[thread.index()].join(&join);
+        let t = thread.index();
+        self.vcs[t].join(&self.core_join[to.index()]);
+        self.gens[t] += 1;
     }
 
     fn on_line_filled(&mut self, core: CoreId, level: Level, line: LineAddr) {
         if self.tracks_level(level) && self.cfg.capacity != CapacityMode::Unlimited {
             // Revive-and-reset a parked arena slot rather than allocating
             // a fresh history per fill.
-            self.hist[core.index()].entry_or_default(line).reset();
+            self.lines[core.index()].entry_or_default(line).hist.reset();
         }
     }
 
@@ -378,11 +425,10 @@ impl MemoryObserver for VcLimitedDetector {
         if self.cfg.capacity == CapacityMode::Unlimited || !self.tracks_level(removal.level) {
             return ObserverOutcome::NONE;
         }
-        self.shed_writes[removal.core.index()].remove(removal.line);
         let mut drained = std::mem::take(&mut self.fold_scratch);
-        drained.clear();
-        if let Some(h) = self.hist[removal.core.index()].vacate(removal.line) {
-            h.drain_into(&mut drained);
+        if let Some(l) = self.lines[removal.core.index()].vacate(removal.line) {
+            self.spare.extend(l.shed_writes.take());
+            l.hist.drain_into(&mut drained);
             // Capacity evictions fold into the memory vector timestamps;
             // invalidations are already covered by the requester's
             // response-tag join.
@@ -397,7 +443,7 @@ impl MemoryObserver for VcLimitedDetector {
                 }
             }
         }
-        drained.clear();
+        self.spare.extend(drained.drain(..).map(|e| e.stamp));
         self.fold_scratch = drained;
         ObserverOutcome::NONE
     }
@@ -512,6 +558,42 @@ mod tests {
             "L1-limited history loses the displaced timestamp: {:?}",
             l1.races()
         );
+    }
+
+    #[test]
+    fn epoch_test_would_miss_a_mid_epoch_join() {
+        // Threads u, w, t on cores 0, 1, 2; lines A, B, C. A race join
+        // gives u w's component without a tick, so u's stamp on B
+        // carries w's component while u's own component is the one
+        // its stamp on A had. t joins the A stamp, which makes B look
+        // ordered to a bare `stamp[u] <= clock[u]` test; only the full
+        // `le` still sees that B's stamp is not ordered before t.
+        let (u, w, t) = (0u16, 1u16, 2u16);
+        let line = |n: u64| Addr::new(n * 64);
+        let (a, b, c) = (line(1), line(2), line(3));
+        let mut det = VcLimitedDetector::new(VcConfig::inf_cache(), 3, 3);
+        let mut instr = 0;
+        let mut access = |det: &mut VcLimitedDetector, thread: u16, addr, kind| {
+            instr += 1;
+            det.on_access(&AccessEvent {
+                core: CoreId(thread as u8),
+                thread: ThreadId(thread),
+                addr,
+                kind,
+                path: cord_sim::observer::AccessPath::L1Hit,
+                instr_index: instr,
+                cycle: instr,
+            });
+        };
+        access(&mut det, w, c, AccessKind::DataWrite);
+        access(&mut det, u, a, AccessKind::DataWrite);
+        access(&mut det, u, c, AccessKind::DataWrite); // races with w; u joins w
+        access(&mut det, u, b, AccessKind::DataWrite);
+        access(&mut det, t, a, AccessKind::DataRead); // races with u; t joins u's A stamp
+        assert_eq!(det.clock_of(ThreadId(t)).component(usize::from(u)), 1);
+        access(&mut det, t, b, AccessKind::DataRead);
+        let racy: Vec<(u16, Addr)> = det.races().iter().map(|r| (r.thread.0, r.addr)).collect();
+        assert_eq!(racy, vec![(u, c), (t, a), (t, b)]);
     }
 
     #[test]

@@ -604,8 +604,98 @@ fn decode_trace_event(buf: &[u8], pos: &mut usize) -> Result<TraceEvent, WireErr
     })
 }
 
+/// The longest binary encoding of an `Access` event: tag, core, a
+/// 3-byte thread varint (`u16`), a 10-byte address varint, kind, a
+/// 2-byte path, and two 10-byte varints.
+const MAX_ACCESS_BYTES: usize = 38;
+
 /// Decodes one event from `buf` at `*pos`, advancing the position.
+///
+/// `Access` events, most of any stream, take a fast path over a
+/// fixed-size window; anything it does not expect falls back to
+/// [`decode_event_checked`], so the result, the new position and every
+/// error are exactly the checked decoder's.
+#[inline]
 pub fn decode_event(buf: &[u8], pos: &mut usize) -> Result<StreamEvent, WireError> {
+    if let Some((access, len)) = decode_access_fast(buf, *pos) {
+        *pos += len;
+        return Ok(StreamEvent::Access(access));
+    }
+    decode_event_checked(buf, pos)
+}
+
+/// An `Access` event at `pos` and its encoded length, when at least
+/// [`MAX_ACCESS_BYTES`] remain and every field is in range. `None` on
+/// anything unusual: a short tail, another tag, a varint longer than
+/// this path reads, a misaligned address, a thread id past `u16`, or
+/// an unknown kind or path.
+#[inline]
+fn decode_access_fast(buf: &[u8], pos: usize) -> Option<(AccessEvent, usize)> {
+    let w: &[u8; MAX_ACCESS_BYTES] = buf
+        .get(pos..pos.checked_add(MAX_ACCESS_BYTES)?)?
+        .try_into()
+        .ok()?;
+    if w[0] != TAG_ACCESS {
+        return None;
+    }
+    let mut i = 2;
+    // Field budgets of 3 + 9 + 9 + 9 bytes keep every read inside the
+    // window (the fixed fields take 5).
+    let thread = u16::try_from(window_varint(w, &mut i, 3)?).ok()?;
+    let addr = window_varint(w, &mut i, 9)?;
+    if !addr.is_multiple_of(WORD_BYTES) {
+        return None;
+    }
+    let kind = match w[i] {
+        0 => AccessKind::DataRead,
+        1 => AccessKind::DataWrite,
+        2 => AccessKind::SyncRead,
+        3 => AccessKind::SyncWrite,
+        _ => return None,
+    };
+    let (path, path_len) = match w[i + 1] {
+        0 => (AccessPath::L1Hit, 1),
+        1 => (AccessPath::L2Hit, 1),
+        2 => (AccessPath::UpgradeHit, 1),
+        3 => (AccessPath::FillFromSibling(CoreId(w[i + 2])), 2),
+        4 => (AccessPath::FillFromMemory, 1),
+        _ => return None,
+    };
+    i += 1 + path_len;
+    let instr_index = window_varint(w, &mut i, 9)?;
+    let cycle = window_varint(w, &mut i, 9)?;
+    let access = AccessEvent {
+        core: CoreId(w[1]),
+        thread: ThreadId(thread),
+        addr: Addr::new(addr),
+        kind,
+        path,
+        instr_index,
+        cycle,
+    };
+    Some((access, i))
+}
+
+/// A varint of at most `max_len` bytes at `w[*i]`, advancing `*i`;
+/// `None` if it runs longer. Up to 9 bytes the value is exactly what
+/// [`get_varint`] reads.
+#[inline]
+fn window_varint(w: &[u8; MAX_ACCESS_BYTES], i: &mut usize, max_len: usize) -> Option<u64> {
+    let mut v = 0u64;
+    for k in 0..max_len {
+        let byte = *w.get(*i + k)?;
+        v |= u64::from(byte & 0x7f) << (7 * k);
+        if byte & 0x80 == 0 {
+            *i += k + 1;
+            return Some(v);
+        }
+    }
+    None
+}
+
+/// Decodes one event from `buf` at `*pos`, advancing the position,
+/// checking every byte: the reference [`decode_event`] must agree with.
+pub fn decode_event_checked(buf: &[u8], pos: &mut usize) -> Result<StreamEvent, WireError> {
     Ok(match get_u8(buf, pos)? {
         TAG_ACCESS => {
             let core = CoreId(get_u8(buf, pos)?);
@@ -701,12 +791,18 @@ pub fn encode_events(events: &[StreamEvent]) -> Vec<u8> {
 /// Decodes a contiguous byte string of events (a [`FRAME_EVENTS`]
 /// payload without its leading tag).
 pub fn decode_events(buf: &[u8]) -> Result<Vec<StreamEvent>, WireError> {
-    let mut pos = 0;
     let mut events = Vec::new();
-    while pos < buf.len() {
-        events.push(decode_event(buf, &mut pos)?);
-    }
+    decode_events_into(buf, &mut events)?;
     Ok(events)
+}
+
+/// Appends every event of `buf` to `out`.
+fn decode_events_into(buf: &[u8], out: &mut Vec<StreamEvent>) -> Result<(), WireError> {
+    let mut pos = 0;
+    while pos < buf.len() {
+        out.push(decode_event(buf, &mut pos)?);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -945,7 +1041,7 @@ pub fn decode_capture(bytes: &[u8]) -> Result<(StreamHeader, Vec<StreamEvent>), 
         read_frame(&mut cursor).map_err(|e| WireError::BadValue(e.to_string()))?
     {
         match payload.split_first() {
-            Some((&FRAME_EVENTS, body)) => events.extend(decode_events(body)?),
+            Some((&FRAME_EVENTS, body)) => decode_events_into(body, &mut events)?,
             Some((&tag, _)) => return Err(WireError::BadTag { what: "frame", tag }),
             None => return Err(WireError::Truncated),
         }

@@ -11,6 +11,11 @@
 //!   `tests/fixtures/golden.stream`. Any change to the frame layout,
 //!   tags, varint packing, or header JSON shows up as a byte diff.
 //!
+//! * **Decoder equivalence** — on damaged capture bytes (truncated,
+//!   bit-flipped, spliced, with lying lengths or over-long varints),
+//!   `decode_event`'s fast path must answer exactly what the checked
+//!   decoder answers, and nothing may panic.
+//!
 //! To regenerate the fixture after an *intentional* format change
 //! (which must also bump `WIRE_VERSION`):
 //!
@@ -19,7 +24,8 @@
 //! ```
 
 use cord_obs::wire::{
-    decode_capture, decode_events, encode_capture, encode_events, StreamGeometry,
+    decode_capture, decode_event, decode_event_checked, decode_events, encode_capture,
+    encode_events, read_frame, StreamGeometry, WireError, FRAME_EVENTS,
 };
 use cord_obs::{
     AccessEvent, AccessKind, AccessPath, BusKind, CoreId, EventKind, Level, LineRemoval,
@@ -369,4 +375,200 @@ fn golden_stream_matches_fixture() {
     let (h, back) = decode_capture(&pinned).expect("pinned stream decodes");
     assert_eq!(h, header);
     assert_eq!(back, events);
+}
+
+// ---------------------------------------------------------------------
+// Decoder equivalence on damaged bytes
+// ---------------------------------------------------------------------
+
+/// Accesses with the small counters real captures carry, so most take
+/// `decode_event`'s fast path (`arb_stream_event`'s random `u64`s often
+/// need 10-byte varints, which it leaves to the checked decoder).
+fn arb_small_access() -> impl Strategy<Value = StreamEvent> {
+    (
+        arb_core(),
+        (0u16..64).prop_map(ThreadId),
+        (0u64..1 << 20).prop_map(|w| Addr::new(w * WORD_BYTES)),
+        arb_kind(),
+        arb_path(),
+        0u64..1 << 24,
+        0u64..1 << 32,
+    )
+        .prop_map(|(core, thread, addr, kind, path, instr_index, cycle)| {
+            StreamEvent::Access(AccessEvent {
+                core,
+                thread,
+                addr,
+                kind,
+                path,
+                instr_index,
+                cycle,
+            })
+        })
+}
+
+/// One damage step, applied at offset `at` (modulo the length):
+/// truncate; flip bit `arg % 8`; splice in 1–16 bytes copied from
+/// offset `arg`; overwrite four bytes with the length `arg`; or make
+/// the varint byte there over-long (continuation bit set, then `arg %
+/// 12` bytes of `0x80` and a `0x00`).
+fn damage(bytes: &mut Vec<u8>, (op, at, arg): (u8, usize, u64)) {
+    if bytes.is_empty() {
+        return;
+    }
+    let at = at % bytes.len();
+    match op {
+        0 => bytes.truncate(at),
+        1 => bytes[at] ^= 1 << (arg % 8),
+        2 => {
+            let from = arg as usize % bytes.len();
+            let chunk: Vec<u8> = bytes[from..]
+                .iter()
+                .take(1 + (arg as usize >> 8) % 16)
+                .copied()
+                .collect();
+            bytes.splice(at..at, chunk);
+        }
+        3 => {
+            let lie = (arg as u32).to_le_bytes();
+            for (k, b) in lie.iter().enumerate() {
+                if let Some(slot) = bytes.get_mut(at + k) {
+                    *slot = *b;
+                }
+            }
+        }
+        _ => {
+            bytes[at] |= 0x80;
+            let pad = (arg % 12) as usize;
+            let tail: Vec<u8> = std::iter::repeat_n(0x80, pad).chain([0]).collect();
+            bytes.splice(at + 1..at + 1, tail);
+        }
+    }
+}
+
+/// What `decode_capture` must return: every frame through `read_frame`,
+/// every event through the checked decoder.
+fn reference_decode_capture(bytes: &[u8]) -> Result<(StreamHeader, Vec<StreamEvent>), WireError> {
+    let mut cursor = std::io::Cursor::new(bytes);
+    let first = read_frame(&mut cursor)
+        .map_err(|e| WireError::BadValue(e.to_string()))?
+        .ok_or(WireError::Truncated)?;
+    let header = StreamHeader::decode(&first)?;
+    let mut events = Vec::new();
+    while let Some(payload) =
+        read_frame(&mut cursor).map_err(|e| WireError::BadValue(e.to_string()))?
+    {
+        match payload.split_first() {
+            Some((&FRAME_EVENTS, body)) => {
+                let mut pos = 0;
+                while pos < body.len() {
+                    events.push(decode_event_checked(body, &mut pos)?);
+                }
+            }
+            Some((&tag, _)) => return Err(WireError::BadTag { what: "frame", tag }),
+            None => return Err(WireError::Truncated),
+        }
+    }
+    Ok((header, events))
+}
+
+/// Both decoders from every offset of `bytes`: the same event or error,
+/// and the same position after it.
+fn assert_decoders_agree(bytes: &[u8]) {
+    for start in 0..=bytes.len() {
+        let (mut fast_pos, mut checked_pos) = (start, start);
+        let fast = decode_event(bytes, &mut fast_pos);
+        let checked = decode_event_checked(bytes, &mut checked_pos);
+        assert_eq!(fast, checked, "at offset {start}");
+        assert_eq!(fast_pos, checked_pos, "position after offset {start}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn damaged_captures_decode_exactly_as_the_checked_decoder(
+        use_golden in any::<bool>(),
+        events in proptest::collection::vec(
+            prop_oneof![arb_small_access(), arb_small_access(), arb_stream_event()],
+            0..300,
+        ),
+        damages in proptest::collection::vec((0u8..5, any::<usize>(), any::<u64>()), 0..4),
+    ) {
+        let mut bytes = if use_golden {
+            std::fs::read(fixture_path()).expect("golden stream fixture")
+        } else {
+            let (header, _) = golden_session();
+            encode_capture(&header, &events)
+        };
+        for &step in &damages {
+            damage(&mut bytes, step);
+        }
+        assert_decoders_agree(&bytes);
+        prop_assert_eq!(decode_capture(&bytes), reference_decode_capture(&bytes));
+    }
+}
+
+/// Hand-built `Access` encodings at the fast path's edges, each alone
+/// (a short tail) and followed by padding (a full window).
+#[test]
+fn access_edge_cases_decode_exactly_as_the_checked_decoder() {
+    fn varint(out: &mut Vec<u8>, mut v: u64) {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(byte);
+                return;
+            }
+            out.push(byte | 0x80);
+        }
+    }
+    let access = |thread: &[u8], addr: &[u8], kind: u8, path: &[u8], instr: &[u8]| {
+        let mut out = vec![1, 3];
+        out.extend_from_slice(thread);
+        out.extend_from_slice(addr);
+        out.push(kind);
+        out.extend_from_slice(path);
+        out.extend_from_slice(instr);
+        varint(&mut out, 77);
+        out
+    };
+    let v = |x: u64| {
+        let mut out = Vec::new();
+        varint(&mut out, x);
+        out
+    };
+    let cases = [
+        access(&v(5), &v(0x1040), 1, &[0], &v(9)),
+        access(&v(0xFFFF), &v(u64::MAX - 7), 3, &[3, 2], &v(u64::MAX)),
+        access(&v(0x1_0000), &v(8), 0, &[1], &v(1)),
+        access(&[0x85, 0x80, 0x00], &v(8), 0, &[1], &v(1)),
+        access(&[0x85, 0x80, 0x80, 0x00], &v(8), 0, &[1], &v(1)),
+        access(&v(1), &v(0x1001), 0, &[0], &v(1)),
+        access(&v(1), &v(8), 4, &[0], &v(1)),
+        access(&v(1), &v(8), 2, &[5], &v(1)),
+        access(&v(1), &v(8), 2, &[4], &[0xff; 11]),
+        access(
+            &v(1),
+            &v(8),
+            2,
+            &[4],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f],
+        ),
+        access(
+            &v(1),
+            &[0x88, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+            2,
+            &[4],
+            &v(1),
+        ),
+    ];
+    for case in cases {
+        assert_decoders_agree(&case);
+        let mut padded = case.clone();
+        padded.resize(case.len() + 40, 0);
+        assert_decoders_agree(&padded);
+    }
 }

@@ -52,11 +52,6 @@ impl InjectionPlan {
             remove_release: Some(n),
         }
     }
-
-    /// Whether this plan removes anything at all.
-    pub fn is_injecting(&self) -> bool {
-        self.remove_instance.is_some() || self.remove_release.is_some()
-    }
 }
 
 impl<O: MemoryObserver> Machine<'_, O> {

@@ -15,6 +15,12 @@ echo "== simulator tests (debug: the ready-heap vs linear-scan cross-check is on
 # included, against the linear scan it replaced.
 cargo test -p cord-sim --quiet
 
+echo "== detector and wire tests (debug: overflow checks and debug assertions are on) =="
+# The epoch-vs-vector-clock and fast-vs-checked-decoder property tests
+# also run with overflow checks, so an arithmetic wrap on either fast
+# path fails here instead of passing silently in release.
+cargo test -p cord-detectors -p cord-obs --quiet
+
 echo "== clippy (deny warnings; unwrap_used denied outside tests) =="
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p cord-sim --all-targets -- -D warnings
