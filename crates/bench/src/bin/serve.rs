@@ -99,9 +99,6 @@ fn cmd_daemon(args: &[String]) -> Result<(), Box<dyn Error>> {
     if let Some(n) = flag_value(args, "--queue-depth") {
         cfg.queue_depth = n.parse()?;
     }
-    if let Some(n) = flag_value(args, "--shards") {
-        cfg.shards = n.parse()?;
-    }
     eprintln!("serve: listening on {}", cfg.socket.display());
     Daemon::new(cfg).run()?;
     Ok(())

@@ -22,8 +22,8 @@
 //! }
 //! ```
 
-use crate::configs::DetectorConfig;
 use crate::sweep::{AppSweep, SweepOptions};
+use cord_detectors::DetectorConfig;
 use cord_json::durable::{self, RecoveryEvent};
 use cord_json::{obj, FromJson, Json, ToJson};
 use std::io;

@@ -1,10 +1,15 @@
 //! Computation and rendering of every table and figure in §4.
 
-use crate::configs::DetectorConfig;
 use crate::sweep::{SweepOptions, SweepResults};
-use cord_core::{area, CordConfig, CordError, ExperimentHarness};
+use cord_core::replay::{record_and_verify, replay_parallelism};
+use cord_core::{area, CordConfig, CordDetector, CordError};
+use cord_detectors::DetectorConfig;
+use cord_inject::Campaign;
 use cord_sim::config::MachineConfig;
-use cord_sim::engine::InjectionPlan;
+use cord_sim::engine::{InjectionPlan, Machine};
+use cord_sim::observer::NullObserver;
+use cord_sim::stats::SimStats;
+use cord_trace::program::Workload;
 use cord_workloads::{all_apps, kernel, lockfree_apps, ScaleClass};
 use std::fmt;
 
@@ -155,6 +160,57 @@ fn rate_table(
     }
 }
 
+/// One clean run of `w` on `machine` with CORD (`cfg`) attached.
+fn run_cord(
+    machine: &MachineConfig,
+    w: &Workload,
+    cfg: CordConfig,
+    seed: u64,
+) -> Result<(SimStats, CordDetector), CordError> {
+    let det = CordDetector::new(cfg, w.num_threads(), machine.cores);
+    Ok(Machine::new(machine.clone(), w, det, seed, InjectionPlan::none()).run_stats()?)
+}
+
+/// One clean run of `w` on `machine` with no recording or detection
+/// support (Figure 11's baseline).
+fn run_baseline(machine: &MachineConfig, w: &Workload, seed: u64) -> Result<SimStats, CordError> {
+    let m = Machine::new(
+        machine.clone(),
+        w,
+        NullObserver,
+        seed,
+        InjectionPlan::none(),
+    );
+    Ok(m.run_stats()?.0)
+}
+
+/// Execution time with the paper's CORD relative to the baseline
+/// (Figure 11's metric; 1.004 means 0.4% overhead).
+fn overhead(machine: &MachineConfig, w: &Workload, seed: u64) -> Result<f64, CordError> {
+    let base = run_baseline(machine, w, seed)?;
+    let (cord, _) = run_cord(machine, w, CordConfig::paper(), seed)?;
+    Ok(cord.cycles as f64 / base.cycles as f64)
+}
+
+/// Runs every plan of `campaign` on `machine` with CORD (`cfg`)
+/// attached, run `i` at seed `seed + i`, and counts the runs that report
+/// at least one race.
+fn runs_detected(
+    machine: &MachineConfig,
+    w: &Workload,
+    campaign: &Campaign,
+    cfg: &CordConfig,
+    seed: u64,
+) -> Result<u64, CordError> {
+    let mut found = 0u64;
+    for (i, plan) in campaign.plans().enumerate() {
+        let det = CordDetector::new(cfg.clone(), w.num_threads(), machine.cores);
+        let (_, det) = Machine::new(machine.clone(), w, det, seed + i as u64, plan).run_stats()?;
+        found += u64::from(!det.races().is_empty());
+    }
+    Ok(found)
+}
+
 /// Figure 10: percentage of injected sync removals that manifested at
 /// least one data race (per the Ideal oracle).
 pub fn fig10(results: &SweepResults) -> FigureTable {
@@ -182,13 +238,13 @@ pub fn fig10(results: &SweepResults) -> FigureTable {
 /// Returns the [`CordError`] of the first failing run (clean runs on an
 /// unwatchdogged machine cannot fail in practice).
 pub fn fig11(scale: ScaleClass, seeds: &[u64]) -> Result<FigureTable, CordError> {
+    let machine = MachineConfig::paper_4core();
     let mut rows = Vec::new();
     for app in all_apps() {
         let mut ratios = Vec::new();
         for &seed in seeds {
             let w = kernel(app, scale, 4, seed);
-            let h = ExperimentHarness::new(MachineConfig::paper_4core()).with_seed(seed);
-            ratios.push(h.overhead(&w, &CordConfig::paper())?);
+            ratios.push(overhead(&machine, &w, seed)?);
         }
         let avg = ratios.iter().sum::<f64>() / ratios.len() as f64;
         rows.push((app.name().to_string(), vec![Some(avg)]));
@@ -324,12 +380,15 @@ pub fn table1(scale: ScaleClass) -> String {
 ///
 /// Returns the [`CordError`] of the first failing run.
 pub fn logsize(scale: ScaleClass, seed: u64) -> Result<FigureTable, CordError> {
+    let machine = MachineConfig::paper_4core();
     let mut rows = Vec::new();
     for app in all_apps() {
         let w = kernel(app, scale, 4, seed);
-        let h = ExperimentHarness::new(MachineConfig::paper_4core()).with_seed(seed);
-        let out = h.run_cord(&w, &CordConfig::paper())?;
-        rows.push((app.name().to_string(), vec![Some(out.log_bytes as f64)]));
+        let (_, det) = run_cord(&machine, &w, CordConfig::paper(), seed)?;
+        rows.push((
+            app.name().to_string(),
+            vec![Some(det.recorder().bytes() as f64)],
+        ));
     }
     Ok(FigureTable {
         title: "Order-recording log size (8 bytes/entry)".into(),
@@ -378,18 +437,17 @@ pub fn area_table() -> FigureTable {
 /// §3.3: replay verification across all applications, with and without
 /// injections. Value 1.0 = replay reproduced the recording.
 pub fn replay_check(scale: ScaleClass, seed: u64, injections: u64) -> FigureTable {
+    let machine = MachineConfig::paper_4core();
+    let verifies = |w: &Workload, plan| {
+        record_and_verify(&machine, w, &CordConfig::paper(), seed, plan).is_ok()
+    };
     let rows = all_apps()
         .into_iter()
         .map(|app| {
             let w = kernel(app, scale, 4, seed);
-            let h = ExperimentHarness::new(MachineConfig::paper_4core()).with_seed(seed);
-            let mut ok = h
-                .verify_replay(&w, &CordConfig::paper(), InjectionPlan::none())
-                .is_ok();
+            let mut ok = verifies(&w, InjectionPlan::none());
             for n in 0..injections {
-                ok &= h
-                    .verify_replay(&w, &CordConfig::paper(), InjectionPlan::remove_nth(n))
-                    .is_ok();
+                ok &= verifies(&w, InjectionPlan::remove_nth(n));
             }
             (app.name().to_string(), vec![Some(f64::from(u8::from(ok)))])
         })
@@ -422,10 +480,6 @@ pub fn ablations(
     seed: u64,
     injections: usize,
 ) -> Result<FigureTable, CordError> {
-    use cord_core::CordDetector;
-    use cord_inject::Campaign;
-    use cord_sim::engine::Machine;
-
     type Variant = (&'static str, fn() -> CordConfig);
     let variants: [Variant; 5] = [
         ("CORD", CordConfig::paper),
@@ -457,13 +511,7 @@ pub fn ablations(
         let campaign = Campaign::plan(&machine, &w, injections, seed ^ app as u64)?;
         let mut vals = Vec::new();
         for (_, mk) in &variants {
-            let mut found = 0u64;
-            for (i, plan) in campaign.plans().enumerate() {
-                let det = CordDetector::new(mk(), 4, machine.cores);
-                let m = Machine::new(machine.clone(), &w, det, seed + i as u64, plan);
-                let (_, det) = m.run_stats()?;
-                found += u64::from(!det.races().is_empty());
-            }
+            let found = runs_detected(&machine, &w, &campaign, &mk(), seed)?;
             vals.push(Some(found as f64));
         }
         rows.push((app.name().to_string(), vals));
@@ -493,10 +541,10 @@ pub fn cache_stats(scale: ScaleClass, seed: u64) -> Result<String, CordError> {
         "{:12} {:>9} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
         "app", "accesses", "L1 hit%", "L2 hit%", "c2c%", "mem%", "cycles"
     ));
+    let machine = MachineConfig::paper_4core();
     for app in all_apps() {
         let w = kernel(app, scale, 4, seed);
-        let h = ExperimentHarness::new(MachineConfig::paper_4core()).with_seed(seed);
-        let s = h.run_baseline(&w)?.stats;
+        let s = run_baseline(&machine, &w, seed)?;
         let total = s.total_accesses() as f64;
         out.push_str(&format!(
             "{:12} {:>9} {:>7.1}% {:>7.1}% {:>7.1}% {:>7.1}% {:>9}\n",
@@ -520,18 +568,19 @@ pub fn cache_stats(scale: ScaleClass, seed: u64) -> Result<String, CordError> {
 ///
 /// Returns the [`CordError`] of the first failing run.
 pub fn record_only_cost(scale: ScaleClass, seed: u64) -> Result<FigureTable, CordError> {
+    let machine = MachineConfig::paper_4core();
     let mut rows = Vec::new();
     for app in all_apps() {
         let w = kernel(app, scale, 4, seed);
-        let h = ExperimentHarness::new(MachineConfig::paper_4core()).with_seed(seed);
-        let full = h.run_cord(&w, &CordConfig::paper())?;
-        let rec = h.run_cord(&w, &CordConfig::paper().record_only())?;
+        let (full, full_det) = run_cord(&machine, &w, CordConfig::paper(), seed)?;
+        let (rec, rec_det) = run_cord(&machine, &w, CordConfig::paper().record_only(), seed)?;
+        let (full_bytes, rec_bytes) = (full_det.recorder().bytes(), rec_det.recorder().bytes());
         rows.push((
             app.name().to_string(),
             vec![
-                Some(full.sim.stats.observer_addr_transactions as f64),
-                Some(rec.sim.stats.observer_addr_transactions as f64),
-                Some(rec.log_bytes as f64 / full.log_bytes.max(1) as f64),
+                Some(full.observer_addr_transactions as f64),
+                Some(rec.observer_addr_transactions as f64),
+                Some(rec_bytes as f64 / full_bytes.max(1) as f64),
             ],
         ));
     }
@@ -558,10 +607,7 @@ pub fn record_only_cost(scale: ScaleClass, seed: u64) -> Result<FigureTable, Cor
 ///
 /// Returns the [`CordError`] of the first failing run.
 pub fn cache_size_sweep(seed: u64, injections: usize) -> Result<FigureTable, CordError> {
-    use cord_core::CordDetector;
-    use cord_inject::Campaign;
     use cord_sim::config::CacheGeometry;
-    use cord_sim::engine::Machine;
 
     let sizes_kb = [8u64, 16, 32, 64, 128];
     let apps = [
@@ -580,13 +626,7 @@ pub fn cache_size_sweep(seed: u64, injections: usize) -> Result<FigureTable, Cor
             let mut mc = MachineConfig::paper_4core();
             mc.l2 = CacheGeometry::new(kb * 1024, 8);
             mc.l1 = CacheGeometry::new((kb * 1024 / 4).max(4096), 4);
-            let mut found = 0u64;
-            for (i, plan) in campaign.plans().enumerate() {
-                let det = CordDetector::new(CordConfig::paper(), 4, mc.cores);
-                let m = Machine::new(mc.clone(), &w, det, seed + i as u64, plan);
-                let (_, det) = m.run_stats()?;
-                found += u64::from(!det.races().is_empty());
-            }
+            let found = runs_detected(&mc, &w, &campaign, &CordConfig::paper(), seed)?;
             vals.push(Some(found as f64));
         }
         rows.push((app.name().to_string(), vals));
@@ -609,10 +649,6 @@ pub fn cache_size_sweep(seed: u64, injections: usize) -> Result<FigureTable, Cor
 ///
 /// Returns the [`CordError`] of the first failing run.
 pub fn thread_sweep(seed: u64, injections: usize) -> Result<FigureTable, CordError> {
-    use cord_core::CordDetector;
-    use cord_inject::Campaign;
-    use cord_sim::engine::Machine;
-
     let counts = [2usize, 4, 6, 8];
     let apps = [
         cord_workloads::AppKind::Cholesky,
@@ -627,13 +663,7 @@ pub fn thread_sweep(seed: u64, injections: usize) -> Result<FigureTable, CordErr
         for &threads in &counts {
             let w = kernel(app, ScaleClass::Tiny, threads, seed);
             let campaign = Campaign::plan(&machine, &w, injections, seed ^ app as u64)?;
-            let mut found = 0u64;
-            for (i, plan) in campaign.plans().enumerate() {
-                let det = CordDetector::new(CordConfig::paper(), threads, machine.cores);
-                let m = Machine::new(machine.clone(), &w, det, seed + i as u64, plan);
-                let (_, det) = m.run_stats()?;
-                found += u64::from(!det.races().is_empty());
-            }
+            let found = runs_detected(&machine, &w, &campaign, &CordConfig::paper(), seed)?;
             vals.push(Some(found as f64));
         }
         rows.push((app.name().to_string(), vals));
@@ -804,10 +834,7 @@ fn skew_divergence(cores: usize, rounds: u64, d: u16) -> (u64, u64) {
 ///
 /// Returns the [`CordError`] of the first failing run.
 pub fn cores_scaling(seed: u64, injections: usize) -> Result<ScalingReport, CordError> {
-    use cord_core::CordDetector;
-    use cord_inject::Campaign;
     use cord_sim::config::CoherenceKind;
-    use cord_sim::engine::Machine;
 
     const D: u16 = 16;
     const SKEW_ROUNDS: u64 = 40_000;
@@ -845,9 +872,7 @@ pub fn cores_scaling(seed: u64, injections: usize) -> Result<ScalingReport, Cord
                 // One thread per core: widening the machine widens the
                 // workload with it.
                 let w = kernel(app, ScaleClass::Tiny, cores, seed);
-                let det = CordDetector::new(CordConfig::paper(), cores, mc.cores);
-                let m = Machine::new(mc.clone(), &w, det, seed, InjectionPlan::none());
-                let (stats, det) = m.run_stats()?;
+                let (stats, det) = run_cord(&mc, &w, CordConfig::paper(), seed)?;
                 cycles_sum += stats.cycles;
                 p.directory_lookups += stats.directory_lookups;
                 p.directory_home_wait += stats.directory_home_wait;
@@ -856,13 +881,8 @@ pub fn cores_scaling(seed: u64, injections: usize) -> Result<ScalingReport, Cord
                 p.window16_mismatches += cs.window16_mismatches;
                 p.clock_rollovers += cs.clock_rollovers;
                 let campaign = Campaign::plan(&mc, &w, injections, seed ^ app as u64)?;
-                for (i, plan) in campaign.plans().enumerate() {
-                    let det = CordDetector::new(CordConfig::paper(), cores, mc.cores);
-                    let m = Machine::new(mc.clone(), &w, det, seed + i as u64, plan);
-                    let (_, det) = m.run_stats()?;
-                    p.injected_runs += 1;
-                    p.detections += u64::from(!det.races().is_empty());
-                }
+                p.injected_runs += campaign.len() as u64;
+                p.detections += runs_detected(&mc, &w, &campaign, &CordConfig::paper(), seed)?;
             }
             p.mean_cycles = cycles_sum as f64 / apps.len() as f64;
             let (divergent, spread) = skew_divergence(cores, SKEW_ROUNDS, D);
@@ -886,13 +906,13 @@ pub fn cores_scaling(seed: u64, injections: usize) -> Result<ScalingReport, Cord
 ///
 /// Returns the [`CordError`] of the first failing run.
 pub fn directory_extension(scale: ScaleClass, seed: u64) -> Result<FigureTable, CordError> {
+    let snoop = MachineConfig::paper_4core();
+    let dir = MachineConfig::paper_4core_directory();
     let mut rows = Vec::new();
     for app in all_apps() {
         let w = kernel(app, scale, 4, seed);
-        let snoop = ExperimentHarness::new(MachineConfig::paper_4core()).with_seed(seed);
-        let dir = ExperimentHarness::new(MachineConfig::paper_4core_directory()).with_seed(seed);
-        let s = snoop.overhead(&w, &CordConfig::paper())?;
-        let d = dir.overhead(&w, &CordConfig::paper())?;
+        let s = overhead(&snoop, &w, seed)?;
+        let d = overhead(&dir, &w, seed)?;
         rows.push((app.name().to_string(), vec![Some(s), Some(d)]));
     }
     Ok(FigureTable {
@@ -913,12 +933,12 @@ pub fn directory_extension(scale: ScaleClass, seed: u64) -> Result<FigureTable, 
 ///
 /// Returns the [`CordError`] of the first failing run.
 pub fn replay_concurrency(scale: ScaleClass, seed: u64) -> Result<FigureTable, CordError> {
+    let machine = MachineConfig::paper_4core();
     let mut rows = Vec::new();
     for app in all_apps() {
         let w = kernel(app, scale, 4, seed);
-        let h = ExperimentHarness::new(MachineConfig::paper_4core()).with_seed(seed);
-        let out = h.run_cord(&w, &CordConfig::paper())?;
-        let p = cord_core::replay::replay_parallelism(&out.order_log);
+        let (_, det) = run_cord(&machine, &w, CordConfig::paper(), seed)?;
+        let p = replay_parallelism(det.recorder().entries());
         rows.push((app.name().to_string(), vec![Some(p.mean_width)]));
     }
     Ok(FigureTable {
@@ -942,11 +962,9 @@ pub fn replay_concurrency(scale: ScaleClass, seed: u64) -> Result<FigureTable, C
 /// Returns the [`CordError`] of the first failing clean run; injected
 /// runs are allowed to abort (removals may deadlock) and are skipped.
 pub fn lockfree_family(scale: ScaleClass, seed: u64) -> Result<FigureTable, CordError> {
-    use cord_core::CordDetector;
     use cord_fuzz::truthhb::{racy_words, Tandem};
     use cord_inject::count_instances;
     use cord_sim::config::{CoherenceKind, Watchdog};
-    use cord_sim::engine::Machine;
     use std::collections::BTreeSet;
 
     let backends = [CoherenceKind::SnoopingBus, CoherenceKind::Directory];
@@ -1130,6 +1148,22 @@ mod tests {
             assert!(
                 bytes < 1024.0 * 1024.0,
                 "{app} log exceeds 1MB at tiny scale"
+            );
+        }
+    }
+
+    #[test]
+    fn overhead_is_small() {
+        let t = fig11(ScaleClass::Tiny, &[2006]).expect("clean runs complete");
+        // CORD must not slow the machine by more than a few percent
+        // (paper: 0.4% average, 3% worst case). On kernels this small
+        // scheduling noise (lock handoff order shifting under the extra
+        // address-bus traffic) dominates, so the band is generous.
+        for (app, vals) in &t.rows {
+            let ratio = vals[0].expect("every app has a ratio");
+            assert!(
+                (0.85..1.15).contains(&ratio),
+                "{app} overhead ratio {ratio}"
             );
         }
     }

@@ -1,9 +1,10 @@
 //! Experiment harness that regenerates every table and figure of the
 //! paper's evaluation (§4).
 //!
-//! * [`configs`] — the named detector configurations the paper compares
-//!   (CORD at each `D`, the vector-clock InfCache/L2Cache/L1Cache
-//!   variants, the Ideal oracle) and the machine each runs on.
+//! * [`DetectorConfig`] — the named detector configurations the paper
+//!   compares (CORD at each `D`, the vector-clock
+//!   InfCache/L2Cache/L1Cache variants, the Ideal oracle) and the
+//!   machine each runs on, re-exported from `cord-detectors`.
 //! * [`sweep`] — the §3.4 injection sweep data model: per application,
 //!   a uniform campaign of synchronization removals, every
 //!   configuration run on every injected run, and a record of who
@@ -34,7 +35,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod checkpoint;
-pub mod configs;
 pub mod figures;
 pub(crate) mod obs;
 pub mod runner;
@@ -42,6 +42,6 @@ pub mod shard;
 pub mod sweep;
 
 pub use checkpoint::{options_hash, Checkpoint};
-pub use configs::{DetectorConfig, DetectorEnum};
+pub use cord_detectors::{DetectorConfig, DetectorEnum};
 pub use runner::{SweepProgress, SweepRunner};
 pub use sweep::{AppSweep, RunRecord, RunStatus, SweepOptions, SweepResults};

@@ -7,7 +7,7 @@
 //! built once and queried many times:
 //!
 //! ```no_run
-//! use cord_bench::configs::DetectorConfig;
+//! use cord_bench::DetectorConfig;
 //! use cord_bench::runner::SweepRunner;
 //! use cord_bench::sweep::SweepOptions;
 //!
@@ -40,13 +40,13 @@
 //! interrupted parallel sweep loses at most the in-flight apps.
 
 use crate::checkpoint::{options_hash, Checkpoint};
-use crate::configs::DetectorConfig;
 use crate::obs::{ObsSink, DEFAULT_TRACE_CAPACITY};
 use crate::sweep::{
     plan_campaign, run_config_impl, run_injection, run_seed, sweep_workload, AppSweep, Detection,
     RunObsCtx, RunRecord, RunStatus, SweepOptions, SweepResults,
 };
 use cord_core::CordError;
+use cord_detectors::DetectorConfig;
 use cord_inject::InjectionTarget;
 use cord_pool::{lock_unpoisoned, BatchProgress, Pool};
 use cord_sim::engine::{InjectionPlan, SimError};

@@ -40,12 +40,12 @@
 //! SIGKILLed mid-campaign) racing a successor on the same shard is
 //! harmless: both write byte-identical checkpoints via atomic renames.
 
-use crate::configs::DetectorConfig;
 use crate::obs::ObsSink;
 use crate::sweep::{
     plan_campaign, run_injection, run_seed, sweep_workload, target_from_json, target_to_json,
     AppSweep, RunObsCtx, RunRecord, RunStatus, SweepOptions, SweepResults,
 };
+use cord_detectors::DetectorConfig;
 use cord_fuzz::campaign::{run_campaign_cases, CampaignConfig, CampaignReport, CaseReport};
 use cord_fuzz::gen::GenConfig;
 use cord_fuzz::oracle::OracleOptions;

@@ -8,9 +8,9 @@
 //! non-completed runs are surfaced separately (see
 //! [`failure_summary`](crate::figures::failure_summary)).
 
-use crate::configs::{DetectorConfig, DetectorEnum};
 use crate::obs::ObsSink;
 use cord_core::{DetectorSink, FanOutObserver, LatencyObserver, ObsCtx, SinkObserver};
+use cord_detectors::{DetectorConfig, DetectorEnum};
 use cord_inject::{Campaign, InjectionTarget};
 use cord_json::{obj, FromJson, Json, JsonError, ToJson};
 use cord_obs::{Histogram, MetricsRegistry, TraceHandle};

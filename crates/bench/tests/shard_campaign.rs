@@ -3,9 +3,9 @@
 //! recovery, forced abandonment with partial accounting, resume, and
 //! agreement with the in-process `SweepRunner`.
 
-use cord_bench::configs::DetectorConfig;
 use cord_bench::runner::SweepRunner;
 use cord_bench::sweep::{RunStatus, ScaleClassOpt, SweepOptions, SweepResults};
+use cord_bench::DetectorConfig;
 use cord_json::{FromJson, Json, ToJson};
 use cord_workloads::AppKind;
 use std::fs;

@@ -34,12 +34,6 @@ pub struct CordConfig {
     /// implementation uses unbounded clocks, which `cord-clocks`'s
     /// property tests show are equivalent while the invariant holds.
     pub window_walker: bool,
-    /// Order-log size budget in entries. A run whose recorder exceeds
-    /// it fails with
-    /// [`CordError::LogOverflow`](crate::error::CordError::LogOverflow)
-    /// instead of silently growing without bound (models a fixed log
-    /// buffer). `None` (the paper setup) is unbounded.
-    pub max_log_entries: Option<u64>,
 }
 
 impl CordConfig {
@@ -54,7 +48,6 @@ impl CordConfig {
             check_filters: true,
             drd: true,
             window_walker: true,
-            max_log_entries: None,
         }
     }
 
@@ -100,13 +93,6 @@ impl CordConfig {
         self
     }
 
-    /// Returns a copy with a bounded order log of `entries` entries.
-    #[must_use]
-    pub fn with_log_limit(mut self, entries: u64) -> Self {
-        self.max_log_entries = Some(entries);
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
@@ -145,11 +131,6 @@ mod tests {
         assert_eq!(CordConfig::with_d(256).policy.d(), 256);
         assert_eq!(CordConfig::paper().single_timestamp().ts_per_line, 1);
         assert!(!CordConfig::paper().without_mem_ts().mem_ts);
-        assert_eq!(CordConfig::paper().max_log_entries, None);
-        assert_eq!(
-            CordConfig::paper().with_log_limit(1024).max_log_entries,
-            Some(1024)
-        );
     }
 
     #[test]

@@ -18,14 +18,6 @@ pub enum CordError {
     Sim(SimError),
     /// The order log failed to reproduce the recorded execution.
     Replay(ReplayError),
-    /// The order log exceeded the configured size budget
-    /// ([`CordConfig::max_log_entries`](crate::config::CordConfig::max_log_entries)).
-    LogOverflow {
-        /// Entries the recorder produced.
-        entries: u64,
-        /// The configured ceiling.
-        limit: u64,
-    },
     /// A run that needed captured resolved streams was executed on a
     /// machine without `capture_resolved`.
     MissingResolvedStreams,
@@ -64,10 +56,6 @@ impl fmt::Display for CordError {
         match self {
             CordError::Sim(e) => write!(f, "simulation failed: {e}"),
             CordError::Replay(e) => write!(f, "replay verification failed: {e}"),
-            CordError::LogOverflow { entries, limit } => write!(
-                f,
-                "order log overflow: {entries} entries exceed the {limit}-entry budget"
-            ),
             CordError::MissingResolvedStreams => write!(
                 f,
                 "resolved access streams were not captured \
@@ -104,7 +92,6 @@ impl CordError {
         match self {
             CordError::Sim(e) => e.kind(),
             CordError::Replay(_) => "replay-mismatch",
-            CordError::LogOverflow { .. } => "log-overflow",
             CordError::MissingResolvedStreams => "missing-resolved-streams",
             CordError::Detector(_) => "detector-failure",
             CordError::SnapshotRecovery(_) => "snapshot-recovery",
@@ -131,17 +118,12 @@ mod tests {
 
     #[test]
     fn kinds_are_distinct() {
-        let log = CordError::LogOverflow {
-            entries: 10,
-            limit: 5,
-        };
-        assert_eq!(log.kind(), "log-overflow");
         assert_eq!(
             CordError::MissingResolvedStreams.kind(),
             "missing-resolved-streams"
         );
         assert_eq!(CordError::Detector("x".into()).kind(), "detector-failure");
-        assert!(log.to_string().contains("10"));
+        assert!(CordError::Detector("x".into()).to_string().contains("x"));
     }
 
     #[test]

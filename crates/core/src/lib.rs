@@ -17,20 +17,21 @@
 //!   per-access `HashMap` probes with vector indexing.
 //! * [`record`] — the 8-bytes-per-entry order log (§2.7.1).
 //! * [`replay`] — deterministic replay from the log with outcome
-//!   verification (§3.3).
+//!   verification (§3.3); [`record_and_verify`] records a run and
+//!   checks that its log replays it.
 //! * [`area`] — the analytic 19%-vs-38%-vs-200% state-overhead model
 //!   (§2.3).
 //! * [`sink`] — detectors as event-stream sinks ([`DetectorSink`]):
 //!   the ingestion surface shared by inline simulation, capture replay,
 //!   and the `cord-serve` streaming daemon.
 //! * [`error`] — the workspace-wide [`CordError`] failure taxonomy.
-//! * [`harness`] — one-call experiment runs.
 //!
 //! # Example
 //!
 //! ```
-//! use cord_core::{CordConfig, ExperimentHarness};
+//! use cord_core::{CordConfig, CordDetector};
 //! use cord_sim::config::MachineConfig;
+//! use cord_sim::engine::{InjectionPlan, Machine};
 //! use cord_trace::builder::WorkloadBuilder;
 //!
 //! let mut b = WorkloadBuilder::new("quick", 2);
@@ -40,9 +41,10 @@
 //! b.thread_mut(1).flag_wait(flag).read(data.word(0));
 //! let w = b.build();
 //!
-//! let h = ExperimentHarness::new(MachineConfig::paper_4core());
-//! let out = h.run_cord(&w, &CordConfig::paper())?;
-//! assert!(out.races.is_empty()); // flag-synchronized: no data race
+//! let machine = MachineConfig::paper_4core();
+//! let det = CordDetector::new(CordConfig::paper(), w.num_threads(), machine.cores);
+//! let (_, det) = Machine::new(machine, &w, det, 42, InjectionPlan::none()).run_stats()?;
+//! assert!(det.races().is_empty()); // flag-synchronized: no data race
 //! # Ok::<(), cord_core::CordError>(())
 //! ```
 
@@ -53,7 +55,6 @@ pub mod area;
 pub mod config;
 pub mod detector;
 pub mod error;
-pub mod harness;
 pub mod history;
 pub mod logfmt;
 pub mod memts;
@@ -65,13 +66,13 @@ pub mod sink;
 pub use config::CordConfig;
 pub use detector::{CordDetector, CordStats, RaceReport};
 pub use error::CordError;
-pub use harness::{CordOutcome, ExperimentHarness};
 pub use history::{HistEntry, LineHistory};
 pub use logfmt::{decode as decode_log, encode as encode_log, LogDecodeError};
 pub use memts::MemTimestamps;
 pub use record::{LogEntry, OrderRecorder, LOG_ENTRY_BYTES};
 pub use replay::{
-    replay_and_verify, replay_parallelism, ReplayError, ReplayParallelism, ReplayReport,
+    record_and_verify, replay_and_verify, replay_parallelism, ReplayError, ReplayParallelism,
+    ReplayReport,
 };
 pub use shadow::{LineTable, ShadowSpace};
 pub use sink::{
@@ -86,7 +87,7 @@ pub use sink::DetectorSink as Detector;
 
 /// One-stop imports for experiment code.
 ///
-/// Everything a harness caller, example, or figure generator needs —
+/// Everything an example, test, or figure generator needs —
 /// the CORD configuration and detector, the error taxonomy, the
 /// simulated machine and its configuration, and the workload builder —
 /// without reaching through three crates of ad-hoc paths:
@@ -100,21 +101,37 @@ pub use sink::DetectorSink as Detector;
 /// for t in 0..2 {
 ///     b.thread_mut(t).lock(l).update(d.word(0)).unlock(l);
 /// }
-/// let h = ExperimentHarness::new(MachineConfig::paper_4core());
-/// let out = h.run_cord(&b.build(), &CordConfig::paper())?;
-/// assert!(out.races.is_empty());
+/// let w = b.build();
+/// let machine = MachineConfig::paper_4core();
+/// let det = CordDetector::new(CordConfig::paper(), 2, machine.cores);
+/// let (_, det) = Machine::new(machine.clone(), &w, det, 42, InjectionPlan::none()).run_stats()?;
+/// assert!(det.races().is_empty());
+/// record_and_verify(&machine, &w, &CordConfig::paper(), 42, InjectionPlan::none())?;
 /// # Ok::<(), CordError>(())
 /// ```
 pub mod prelude {
     pub use crate::config::CordConfig;
     pub use crate::detector::{CordDetector, CordStats, RaceReport};
     pub use crate::error::CordError;
-    pub use crate::harness::{CordOutcome, ExperimentHarness};
-    pub use crate::replay::{replay_and_verify, ReplayError, ReplayReport};
+    pub use crate::replay::{record_and_verify, replay_and_verify, ReplayError, ReplayReport};
     pub use crate::sink::{CaptureObserver, DetectorSink, ObsCtx, SinkObserver, SinkReport};
     pub use cord_sim::config::{MachineConfig, Watchdog};
     pub use cord_sim::engine::{InjectionPlan, Machine, RunOutput, SimError};
     pub use cord_sim::observer::{MemoryObserver, NullObserver};
     pub use cord_trace::builder::WorkloadBuilder;
     pub use cord_trace::program::Workload;
+}
+
+// Compile-time Send/Sync audit: the parallel sweep executor builds
+// detectors on one thread and runs them on pool workers, and errors
+// cross threads on the way back. If a non-Send field ever sneaks into
+// one of these types, this fails to compile rather than failing at the
+// first parallel sweep.
+#[allow(dead_code)]
+fn _thread_safety_audit() {
+    fn send<T: Send>() {}
+    fn sync<T: Sync>() {}
+    send::<CordDetector>();
+    send::<CordError>();
+    sync::<CordError>();
 }

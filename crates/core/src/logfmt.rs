@@ -186,8 +186,9 @@ mod tests {
 
     #[test]
     fn real_recorded_log_roundtrips() {
-        use crate::{CordConfig, ExperimentHarness};
+        use crate::{CordConfig, CordDetector};
         use cord_sim::config::MachineConfig;
+        use cord_sim::engine::{InjectionPlan, Machine};
         use cord_trace::builder::WorkloadBuilder;
 
         let mut b = WorkloadBuilder::new("codec", 2);
@@ -203,12 +204,16 @@ mod tests {
             }
         }
         let w = b.build();
-        let h = ExperimentHarness::new(MachineConfig::paper_4core());
-        let out = h.run_cord(&w, &CordConfig::paper()).expect("run completes");
-        let bytes = encode(&out.order_log);
-        assert_eq!(bytes.len() as u64, out.log_bytes);
+        let machine = MachineConfig::paper_4core();
+        let det = CordDetector::new(CordConfig::paper(), 2, machine.cores);
+        let (_, det) = Machine::new(machine, &w, det, 42, InjectionPlan::none())
+            .run_stats()
+            .expect("run completes");
+        let log = det.recorder().entries();
+        let bytes = encode(log);
+        assert_eq!(bytes.len() as u64, det.recorder().bytes());
         let back = decode(&bytes, 2).expect("hardware log decodes");
-        assert_eq!(back, out.order_log);
+        assert_eq!(back, log);
     }
 
     proptest! {

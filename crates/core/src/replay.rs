@@ -16,8 +16,14 @@
 //! from different threads can have equal logical clocks"), equal-clock
 //! segments may run in any fixed order without changing the outcome.
 
+use crate::config::CordConfig;
+use crate::detector::CordDetector;
+use crate::error::CordError;
 use crate::record::LogEntry;
+use cord_sim::config::MachineConfig;
+use cord_sim::engine::{InjectionPlan, Machine};
 use cord_sim::truth::{GroundTruth, ResolvedAccess};
+use cord_trace::program::Workload;
 use cord_trace::types::ThreadId;
 use std::fmt;
 
@@ -147,6 +153,64 @@ pub fn replay_and_verify(
         accesses,
         thread_hashes: summary.thread_hashes,
     })
+}
+
+/// Records one CORD run of `workload` and checks that its order log
+/// replays the run exactly (§3.3's replay validation).
+///
+/// The run captures resolved access streams and keeps ground truth
+/// (`Machine::run`), which replay needs; runs that only read statistics
+/// use `Machine::run_stats` instead.
+///
+/// # Examples
+///
+/// ```
+/// use cord_core::config::CordConfig;
+/// use cord_core::replay::record_and_verify;
+/// use cord_sim::config::MachineConfig;
+/// use cord_sim::engine::InjectionPlan;
+/// use cord_trace::builder::WorkloadBuilder;
+///
+/// let mut b = WorkloadBuilder::new("demo", 2);
+/// let l = b.alloc_lock();
+/// let d = b.alloc_words(1);
+/// for t in 0..2 {
+///     b.thread_mut(t).lock(l).update(d.word(0)).unlock(l);
+/// }
+/// let w = b.build();
+///
+/// let machine = MachineConfig::paper_4core();
+/// let plan = InjectionPlan::none();
+/// let report = record_and_verify(&machine, &w, &CordConfig::paper(), 42, plan)?;
+/// assert!(report.segments > 0);
+/// # Ok::<(), cord_core::error::CordError>(())
+/// ```
+///
+/// # Errors
+///
+/// Returns [`CordError::Sim`] if the recording run aborts, or
+/// [`CordError::Replay`] if the log fails to reproduce it.
+pub fn record_and_verify(
+    machine: &MachineConfig,
+    workload: &Workload,
+    cfg: &CordConfig,
+    seed: u64,
+    plan: InjectionPlan,
+) -> Result<ReplayReport, CordError> {
+    let machine = machine.clone().with_resolved_capture();
+    let det = CordDetector::new(cfg.clone(), workload.num_threads(), machine.cores);
+    let (sim, det) = Machine::new(machine, workload, det, seed, plan).run()?;
+    let resolved = sim
+        .truth
+        .resolved
+        .as_ref()
+        .ok_or(CordError::MissingResolvedStreams)?;
+    Ok(replay_and_verify(
+        det.recorder().entries(),
+        resolved,
+        &sim.stats.instr_counts,
+        &sim.truth.thread_hashes,
+    )?)
 }
 
 /// Concurrency available during replay (§2.7.1 notes "optimizations are

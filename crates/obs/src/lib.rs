@@ -31,9 +31,7 @@ pub use events::{
     AccessEvent, AccessKind, AccessPath, CoreId, Level, LineRemoval, MemoryObserver, NullObserver,
     ObserverOutcome, RemovalCause,
 };
-pub use wire::{
-    kind_from_name, kind_name, StreamEvent, StreamGeometry, StreamHeader, WireError, WIRE_VERSION,
-};
+pub use wire::{kind_name, StreamEvent, StreamGeometry, StreamHeader, WireError, WIRE_VERSION};
 
 use cord_json::{obj, FromJson, Json, JsonError, ToJson};
 use std::collections::{BTreeMap, VecDeque};

@@ -11,12 +11,12 @@
 //! * [`StreamEvent`] — the six detector-input events (the five
 //!   [`MemoryObserver`](crate::events::MemoryObserver) callbacks plus a
 //!   passthrough for [`TraceEvent`] observability records).
-//! * A **compact binary codec** (tag byte + LEB128 varints) and a
-//!   **JSON codec** for every event, plus length-prefixed frame
-//!   helpers — the unit a socket or capture file is made of.
+//! * A **compact binary codec** (tag byte + LEB128 varints) for every
+//!   event, plus length-prefixed frame helpers — the unit a socket or
+//!   capture file is made of. The header travels as JSON.
 //!
 //! The binary encoding is pinned by a golden fixture
-//! (`tests/wire_golden.rs`); bump [`WIRE_VERSION`] when it changes.
+//! (`tests/wire_roundtrip.rs`); bump [`WIRE_VERSION`] when it changes.
 
 use crate::events::{
     AccessEvent, AccessKind, AccessPath, CoreId, Level, LineRemoval, RemovalCause,
@@ -806,7 +806,7 @@ fn decode_events_into(buf: &[u8], out: &mut Vec<StreamEvent>) -> Result<(), Wire
 }
 
 // ---------------------------------------------------------------------
-// JSON codec
+// Access-kind names
 // ---------------------------------------------------------------------
 
 /// The canonical wire name of an access kind (`data-read`,
@@ -818,151 +818,6 @@ pub fn kind_name(kind: AccessKind) -> &'static str {
         AccessKind::DataWrite => "data-write",
         AccessKind::SyncRead => "sync-read",
         AccessKind::SyncWrite => "sync-write",
-    }
-}
-
-/// Inverse of [`kind_name`].
-pub fn kind_from_name(name: &str) -> Option<AccessKind> {
-    Some(match name {
-        "data-read" => AccessKind::DataRead,
-        "data-write" => AccessKind::DataWrite,
-        "sync-read" => AccessKind::SyncRead,
-        "sync-write" => AccessKind::SyncWrite,
-        _ => return None,
-    })
-}
-
-impl ToJson for StreamEvent {
-    fn to_json(&self) -> Json {
-        match self {
-            StreamEvent::Access(a) => {
-                let mut fields = vec![
-                    ("ev", "access".to_json()),
-                    ("core", a.core.0.to_json()),
-                    ("thread", a.thread.0.to_json()),
-                    ("addr", a.addr.byte().to_json()),
-                    ("kind", kind_name(a.kind).to_json()),
-                ];
-                let path = match a.path {
-                    AccessPath::L1Hit => "l1-hit",
-                    AccessPath::L2Hit => "l2-hit",
-                    AccessPath::UpgradeHit => "upgrade-hit",
-                    AccessPath::FillFromSibling(_) => "fill-sibling",
-                    AccessPath::FillFromMemory => "fill-memory",
-                };
-                fields.push(("path", path.to_json()));
-                if let AccessPath::FillFromSibling(sib) = a.path {
-                    fields.push(("sibling", sib.0.to_json()));
-                }
-                fields.push(("instr", a.instr_index.to_json()));
-                fields.push(("cycle", a.cycle.to_json()));
-                obj(fields)
-            }
-            StreamEvent::LineFilled { core, level, line } => obj(vec![
-                ("ev", "fill".to_json()),
-                ("core", core.0.to_json()),
-                ("level", level_code(*level).to_json()),
-                ("line", line.0.to_json()),
-            ]),
-            StreamEvent::LineRemoved(r) => obj(vec![
-                ("ev", "remove".to_json()),
-                ("core", r.core.0.to_json()),
-                ("level", level_code(r.level).to_json()),
-                ("line", r.line.0.to_json()),
-                (
-                    "cause",
-                    match r.cause {
-                        RemovalCause::Capacity => "capacity",
-                        RemovalCause::Invalidation => "invalidation",
-                    }
-                    .to_json(),
-                ),
-                ("dirty", r.dirty.to_json()),
-            ]),
-            StreamEvent::ThreadMigrated { thread, from, to } => obj(vec![
-                ("ev", "migrate".to_json()),
-                ("thread", thread.0.to_json()),
-                ("from", from.0.to_json()),
-                ("to", to.0.to_json()),
-            ]),
-            StreamEvent::RunEnd { instr_counts } => obj(vec![
-                ("ev", "run-end".to_json()),
-                ("instr_counts", instr_counts.to_json()),
-            ]),
-            StreamEvent::Trace(t) => obj(vec![("ev", "trace".to_json()), ("event", t.to_json())]),
-        }
-    }
-}
-
-impl FromJson for StreamEvent {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let ev = v.field("ev")?.as_str()?;
-        Ok(match ev {
-            "access" => {
-                let kind_text = v.field("kind")?.as_str()?;
-                let kind = kind_from_name(kind_text)
-                    .ok_or_else(|| JsonError::new(format!("unknown access kind `{kind_text}`")))?;
-                let path_text = v.field("path")?.as_str()?;
-                let path = match path_text {
-                    "l1-hit" => AccessPath::L1Hit,
-                    "l2-hit" => AccessPath::L2Hit,
-                    "upgrade-hit" => AccessPath::UpgradeHit,
-                    "fill-sibling" => AccessPath::FillFromSibling(CoreId(FromJson::from_json(
-                        v.field("sibling")?,
-                    )?)),
-                    "fill-memory" => AccessPath::FillFromMemory,
-                    other => return Err(JsonError::new(format!("unknown access path `{other}`"))),
-                };
-                let raw: u64 = FromJson::from_json(v.field("addr")?)?;
-                if !raw.is_multiple_of(WORD_BYTES) {
-                    return Err(JsonError::new(format!(
-                        "address {raw:#x} is not word-aligned"
-                    )));
-                }
-                StreamEvent::Access(AccessEvent {
-                    core: CoreId(FromJson::from_json(v.field("core")?)?),
-                    thread: ThreadId(FromJson::from_json(v.field("thread")?)?),
-                    addr: Addr::new(raw),
-                    kind,
-                    path,
-                    instr_index: FromJson::from_json(v.field("instr")?)?,
-                    cycle: FromJson::from_json(v.field("cycle")?)?,
-                })
-            }
-            "fill" => StreamEvent::LineFilled {
-                core: CoreId(FromJson::from_json(v.field("core")?)?),
-                level: level_from_code(FromJson::from_json(v.field("level")?)?)
-                    .map_err(|e| JsonError::new(e.to_string()))?,
-                line: LineAddr(FromJson::from_json(v.field("line")?)?),
-            },
-            "remove" => {
-                let cause_text = v.field("cause")?.as_str()?;
-                StreamEvent::LineRemoved(LineRemoval {
-                    core: CoreId(FromJson::from_json(v.field("core")?)?),
-                    level: level_from_code(FromJson::from_json(v.field("level")?)?)
-                        .map_err(|e| JsonError::new(e.to_string()))?,
-                    line: LineAddr(FromJson::from_json(v.field("line")?)?),
-                    cause: match cause_text {
-                        "capacity" => RemovalCause::Capacity,
-                        "invalidation" => RemovalCause::Invalidation,
-                        other => {
-                            return Err(JsonError::new(format!("unknown removal cause `{other}`")))
-                        }
-                    },
-                    dirty: FromJson::from_json(v.field("dirty")?)?,
-                })
-            }
-            "migrate" => StreamEvent::ThreadMigrated {
-                thread: ThreadId(FromJson::from_json(v.field("thread")?)?),
-                from: CoreId(FromJson::from_json(v.field("from")?)?),
-                to: CoreId(FromJson::from_json(v.field("to")?)?),
-            },
-            "run-end" => StreamEvent::RunEnd {
-                instr_counts: FromJson::from_json(v.field("instr_counts")?)?,
-            },
-            "trace" => StreamEvent::Trace(FromJson::from_json(v.field("event")?)?),
-            other => return Err(JsonError::new(format!("unknown stream event `{other}`"))),
-        })
     }
 }
 
@@ -1118,14 +973,6 @@ mod tests {
         let events = sample_events();
         let bytes = encode_events(&events);
         assert_eq!(decode_events(&bytes).expect("decodes"), events);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        for ev in sample_events() {
-            let back = StreamEvent::from_json(&ev.to_json()).expect("parses");
-            assert_eq!(back, ev);
-        }
     }
 
     #[test]

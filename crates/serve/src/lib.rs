@@ -31,8 +31,7 @@
 //!   in the worker;
 //! * a **worker** thread owns the detector sink and ingests batches in
 //!   order. Detection itself is sequential — CORD's thread clocks are
-//!   global state, which is the paper's whole point — but the daemon
-//!   keeps per-shard accounting by dense line index. Ingest latency is
+//!   global state, which is the paper's whole point. Ingest latency is
 //!   sampled (a session's first `Access` and every 64th after it), so
 //!   the clock stays off the per-event path;
 //! * periodic **snapshots** land as durable `cord-json` documents

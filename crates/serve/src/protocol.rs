@@ -30,8 +30,8 @@ pub const FRAME_RESPONSE: u8 = b'R';
 /// interleaved after event frames on an ingest session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Query {
-    /// Daemon-wide status: sessions, events, races, snapshots, shard
-    /// accounting, and any snapshot-recovery events.
+    /// Daemon-wide status: sessions, events, races, snapshots, and any
+    /// snapshot-recovery events.
     Status,
     /// All races drained from completed sessions.
     Races,

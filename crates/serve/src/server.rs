@@ -9,8 +9,7 @@ use cord_obs::wire::StreamGeometry;
 use cord_obs::wire::{decode_events, read_frame, write_frame, FRAME_EVENTS, FRAME_HEADER};
 use cord_obs::{CoreId, Histogram, MetricsRegistry, StreamEvent, StreamHeader};
 use cord_pool::lock_unpoisoned;
-use cord_trace::layout::dense_line_index;
-use cord_trace::types::{LineAddr, ThreadId};
+use cord_trace::types::ThreadId;
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -42,9 +41,6 @@ pub struct DaemonConfig {
     /// knob. When the detector lags this many undigested batches, the
     /// reader stops pulling from the socket and the producer stalls.
     pub queue_depth: usize,
-    /// Dense-line shards for the per-shard event accounting in `status`
-    /// responses and snapshots.
-    pub shards: usize,
 }
 
 impl Default for DaemonConfig {
@@ -54,7 +50,6 @@ impl Default for DaemonConfig {
             snapshot: None,
             snapshot_every: 100_000,
             queue_depth: 64,
-            shards: 8,
         }
     }
 }
@@ -77,8 +72,6 @@ struct DaemonState {
     /// sink spent on one Access event, sampled every
     /// [`INGEST_SAMPLE_STRIDE`] accesses), merged pointwise.
     ingest_latency: Histogram,
-    /// Per-shard event counts, summed across sessions.
-    shard_events: Vec<u64>,
     /// Header info of the most recent session.
     last_workload: String,
     last_detector: String,
@@ -98,11 +91,7 @@ pub struct Daemon {
 impl Daemon {
     /// A daemon with the given configuration (not yet listening).
     pub fn new(cfg: DaemonConfig) -> Daemon {
-        let shards = cfg.shards.max(1);
-        let mut state = DaemonState {
-            shard_events: vec![0; shards],
-            ..DaemonState::default()
-        };
+        let mut state = DaemonState::default();
         // Surface prior-snapshot recovery immediately: a corrupt primary
         // generation is a structured status fact, not a stderr line.
         if let Some(path) = &cfg.snapshot {
@@ -249,8 +238,8 @@ fn stream_session(
     result
 }
 
-/// The session worker: owns the sink, ingests in order, keeps shard
-/// accounting, and snapshots periodically. Returns when the queue
+/// The session worker: owns the sink, ingests in order, and snapshots
+/// periodically. Returns when the queue
 /// closes (client gone) or after serving a drain.
 fn session_worker(
     header: &StreamHeader,
@@ -259,14 +248,12 @@ fn session_worker(
     shared: &Arc<Shared>,
 ) {
     let geometry = &header.geometry;
-    let shards = shared.cfg.shards.max(1);
     let mut sink = config.build_sink(
         geometry.threads as usize,
         geometry.cores as usize,
         header.seed,
         ObsCtx::disabled(),
     );
-    let mut shard_events = vec![0u64; shards];
     let mut ingest_latency = Histogram::new();
     let mut events: u64 = 0;
     let mut accesses: u64 = 0;
@@ -277,9 +264,6 @@ fn session_worker(
         match work {
             Work::Events(batch) => {
                 for ev in &batch {
-                    if let Some(line) = event_line(ev) {
-                        shard_events[dense_line_index(line) % shards] += 1;
-                    }
                     let timed = matches!(ev, StreamEvent::Access(_)) && {
                         let nth = accesses;
                         accesses += 1;
@@ -303,17 +287,17 @@ fn session_worker(
                 let every = shared.cfg.snapshot_every;
                 if every > 0 && since_snapshot >= every {
                     since_snapshot = 0;
-                    write_snapshot(header, &mut sink, events, &shard_events, shared);
+                    write_snapshot(header, &mut sink, events, shared);
                 }
             }
             Work::Drain(reply) => {
                 sink.flush();
                 let report = sink.drain();
                 let bytes = report.to_bytes();
-                record_report(&report, &shard_events, &ingest_latency, shared);
+                record_report(&report, &ingest_latency, shared);
                 ingest_latency = Histogram::new();
                 drained = true;
-                write_snapshot(header, &mut sink, events, &shard_events, shared);
+                write_snapshot(header, &mut sink, events, shared);
                 let _ = reply.send(bytes);
             }
         }
@@ -323,8 +307,8 @@ fn session_worker(
         // anyway so daemon-wide queries still see them.
         sink.flush();
         let report = sink.drain();
-        record_report(&report, &shard_events, &ingest_latency, shared);
-        write_snapshot(header, &mut sink, events, &shard_events, shared);
+        record_report(&report, &ingest_latency, shared);
+        write_snapshot(header, &mut sink, events, shared);
     }
     let mut st = lock_unpoisoned(&shared.state);
     st.sessions_completed += 1;
@@ -367,62 +351,32 @@ fn check_geometry(ev: &StreamEvent, geometry: &StreamGeometry) -> Result<(), Ser
     }
 }
 
-/// Which cache line an event concerns, for shard accounting.
-fn event_line(ev: &StreamEvent) -> Option<LineAddr> {
-    match ev {
-        StreamEvent::Access(a) => Some(a.addr.line()),
-        StreamEvent::LineFilled { line, .. } => Some(*line),
-        StreamEvent::LineRemoved(r) => Some(r.line),
-        _ => None,
-    }
-}
-
-fn record_report(
-    report: &cord_core::SinkReport,
-    shard_events: &[u64],
-    ingest_latency: &Histogram,
-    shared: &Arc<Shared>,
-) {
+fn record_report(report: &cord_core::SinkReport, ingest_latency: &Histogram, shared: &Arc<Shared>) {
     let mut st = lock_unpoisoned(&shared.state);
     st.races_reported += report.race_count;
     st.races.extend(report.races.iter().cloned());
     st.metrics.merge(&report.metrics);
     st.ingest_latency.merge(ingest_latency);
-    for (acc, n) in st.shard_events.iter_mut().zip(shard_events) {
-        *acc += n;
-    }
 }
 
-/// Writes the durable snapshot document: session progress, the current
-/// race report, and per-shard accounting in shard order.
+/// Writes the durable snapshot document: session progress and the
+/// current race report.
 fn write_snapshot(
     header: &StreamHeader,
     sink: &mut DetectorEnum,
     events: u64,
-    shard_events: &[u64],
     shared: &Arc<Shared>,
 ) {
     let Some(path) = shared.cfg.snapshot.clone() else {
         return;
     };
     let report = sink.drain();
-    let shards: Vec<Json> = shard_events
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| {
-            obj(vec![
-                ("shard", Json::UInt(i as u64)),
-                ("events", Json::UInt(n)),
-            ])
-        })
-        .collect();
     let doc = obj(vec![
         ("workload", Json::Str(header.workload.clone())),
         ("detector", Json::Str(header.detector.clone())),
         ("seed", Json::UInt(header.seed)),
         ("events", Json::UInt(events)),
         ("report", report.to_json()),
-        ("shards", Json::Array(shards)),
     ]);
     if durable::write_checkpoint(&path, &doc).is_ok() {
         let mut st = lock_unpoisoned(&shared.state);
@@ -491,10 +445,6 @@ fn status_doc(shared: &Arc<Shared>) -> Json {
         (
             "queue_depth",
             Json::UInt(shared.cfg.queue_depth.max(1) as u64),
-        ),
-        (
-            "shard_events",
-            Json::Array(st.shard_events.iter().map(|&n| Json::UInt(n)).collect()),
         ),
         (
             "recovery",

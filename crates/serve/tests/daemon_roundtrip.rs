@@ -143,7 +143,6 @@ fn daemon_replay_matches_inline_bytes() {
         snapshot: Some(snapshot.clone()),
         snapshot_every: 2,
         queue_depth: 2,
-        shards: 4,
     });
     let handle = std::thread::spawn(move || daemon.run());
     let client = ServeClient::new(&socket);

@@ -15,21 +15,24 @@ fn main() -> Result<(), CordError> {
         "app", "base cyc", "cord cyc", "overhead", "race checks", "log bytes"
     );
     let mut ratios = Vec::new();
+    let machine = MachineConfig::paper_4core();
     for app in all_apps() {
         let workload = kernel(app, ScaleClass::Small, 4, 42);
-        let harness = ExperimentHarness::new(MachineConfig::paper_4core());
-        let base = harness.run_baseline(&workload)?;
-        let cord = harness.run_cord(&workload, &CordConfig::paper())?;
-        let ratio = cord.sim.stats.cycles as f64 / base.stats.cycles as f64;
+        let plan = InjectionPlan::none();
+        let (base, _) =
+            Machine::new(machine.clone(), &workload, NullObserver, 42, plan).run_stats()?;
+        let det = CordDetector::new(CordConfig::paper(), workload.num_threads(), machine.cores);
+        let (cord, det) = Machine::new(machine.clone(), &workload, det, 42, plan).run_stats()?;
+        let ratio = cord.cycles as f64 / base.cycles as f64;
         ratios.push(ratio);
         println!(
             "{:12} {:>10} {:>10} {:>8.2}% {:>12} {:>10}",
             app.name(),
-            base.stats.cycles,
-            cord.sim.stats.cycles,
+            base.cycles,
+            cord.cycles,
             (ratio - 1.0) * 100.0,
-            cord.cord_stats.race_check_broadcasts,
-            cord.log_bytes,
+            det.stats().race_check_broadcasts,
+            det.recorder().bytes(),
         );
     }
     let avg = ratios.iter().sum::<f64>() / ratios.len() as f64;

@@ -32,33 +32,38 @@ fn main() -> Result<(), CordError> {
     workload.validate().expect("well-formed workload");
 
     // Run it on the paper's 4-core CMP with the paper's CORD (D = 16).
-    let harness = ExperimentHarness::new(MachineConfig::paper_4core());
-    let outcome = harness.run_cord(&workload, &CordConfig::paper())?;
+    let machine = MachineConfig::paper_4core();
+    let det = CordDetector::new(CordConfig::paper(), workload.num_threads(), machine.cores);
+    let (stats, det) =
+        Machine::new(machine.clone(), &workload, det, 42, InjectionPlan::none()).run_stats()?;
 
     println!("workload          : {}", workload.name());
-    println!("execution time    : {} cycles", outcome.sim.stats.cycles);
-    println!("memory accesses   : {}", outcome.sim.stats.total_accesses());
-    println!("data races found  : {}", outcome.races.len());
+    println!("execution time    : {} cycles", stats.cycles);
+    println!("memory accesses   : {}", stats.total_accesses());
+    println!("data races found  : {}", det.races().len());
     println!(
         "order log         : {} entries, {} bytes",
-        outcome.order_log.len(),
-        outcome.log_bytes
+        det.recorder().entries().len(),
+        det.recorder().bytes()
     );
     println!(
         "clock updates     : {} (sync races ordered: {})",
-        outcome.cord_stats.clock_updates, outcome.cord_stats.sync_races
+        det.stats().clock_updates,
+        det.stats().sync_races
     );
 
     assert!(
-        outcome.races.is_empty(),
+        det.races().is_empty(),
         "a synchronized program must be clean"
     );
 
     // The recorded order can be replayed deterministically.
-    let report = harness.verify_replay(
+    let report = record_and_verify(
+        &machine,
         &workload,
         &CordConfig::paper(),
-        cord::sim::engine::InjectionPlan::none(),
+        42,
+        InjectionPlan::none(),
     )?;
     println!(
         "replay            : {} segments, {} accesses — exact",

@@ -10,24 +10,27 @@ use cord::workloads::{kernel, AppKind, ScaleClass};
 
 fn main() -> Result<(), CordError> {
     let workload = kernel(AppKind::Radix, ScaleClass::Tiny, 4, 9);
-    let harness = ExperimentHarness::new(MachineConfig::paper_4core()).with_seed(9);
+    let machine = MachineConfig::paper_4core();
+    let seed = 9;
 
     // Record a run with an injected synchronization bug.
     let plan = InjectionPlan::remove_nth(3);
-    let outcome = harness.run_cord_injected(&workload, &CordConfig::paper(), plan)?;
+    let det = CordDetector::new(CordConfig::paper(), workload.num_threads(), machine.cores);
+    let (stats, det) = Machine::new(machine.clone(), &workload, det, seed, plan).run_stats()?;
+    let log = det.recorder().entries();
     println!(
         "recorded {}: {} cycles, {} log entries ({} bytes), {} data races reported",
         workload.name(),
-        outcome.sim.stats.cycles,
-        outcome.order_log.len(),
-        outcome.log_bytes,
-        outcome.races.len()
+        stats.cycles,
+        log.len(),
+        det.recorder().bytes(),
+        det.races().len()
     );
 
     // Peek at the first few log entries: (clock value, thread,
     // instructions executed at that clock) — the paper's 8-byte format.
     println!("\nfirst log entries:");
-    for e in outcome.order_log.iter().take(8) {
+    for e in log.iter().take(8) {
         println!(
             "  clock={:<6} thread={} instructions={}",
             e.clock.ticks(),
@@ -38,7 +41,7 @@ fn main() -> Result<(), CordError> {
 
     // Replay: re-execute the recorded access streams in log order and
     // verify every read observes the same write as in the recording.
-    match harness.verify_replay(&workload, &CordConfig::paper(), plan) {
+    match record_and_verify(&machine, &workload, &CordConfig::paper(), seed, plan) {
         Ok(report) => println!(
             "\nreplay: {} segments scheduled by logical time, {} accesses, outcome identical",
             report.segments, report.accesses
@@ -47,7 +50,7 @@ fn main() -> Result<(), CordError> {
     }
 
     // The races CORD reported point at the bug's location.
-    if let Some(r) = outcome.races.first() {
+    if let Some(r) = det.races().first() {
         println!(
             "\nfirst reported race: {} {:?} at address {} (clock {} vs timestamp {})",
             r.thread, r.kind, r.addr, r.my_clock, r.other_ts

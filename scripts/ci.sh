@@ -43,6 +43,17 @@ trap 'rm -rf "$smoke_dir"' EXIT
 diff "$smoke_dir/serial.json" "$smoke_dir/parallel.json"
 diff "$smoke_dir/serial.txt" "$smoke_dir/parallel.txt"
 
+echo "== §4 fixtures: figures all and the cores-scaling document match the committed files =="
+# results/ and BENCH_scaling.json are what EXPERIMENTS.md quotes; any
+# change to a simulated number shows up here as a byte diff.
+./target/release/figures all --scale small --injections 40 --jobs 2 \
+    --json "$smoke_dir/sweep.json" > "$smoke_dir/figures_all.txt" 2> /dev/null
+diff "$smoke_dir/figures_all.txt" results/figures_all.txt
+diff "$smoke_dir/sweep.json" results/sweep.json
+./target/release/figures scaling --seed 2006 --injections 3 \
+    --json "$smoke_dir/scaling.json" > /dev/null 2> /dev/null
+diff "$smoke_dir/scaling.json" BENCH_scaling.json
+
 echo "== coherence-backend smoke: explicit 4-core snooping flags are the default, byte-for-byte =="
 ./target/release/figures fig10 --scale tiny --injections 2 --jobs 1 \
     --cores 4 --backend snooping \

@@ -36,13 +36,17 @@
 //!     b.thread_mut(t).lock(lock).update(shared.word(0)).unlock(lock);
 //! }
 //! let workload = b.build();
-//! let harness = ExperimentHarness::new(MachineConfig::paper_4core());
-//! let outcome = harness.run_cord(&workload, &CordConfig::paper())?;
+//! let machine = MachineConfig::paper_4core();
+//! let det = CordDetector::new(CordConfig::paper(), 2, machine.cores);
+//! let (_, det) = Machine::new(machine.clone(), &workload, det, 42, InjectionPlan::none())
+//!     .run_stats()?;
 //! println!(
 //!     "{} data races detected, {} order-log entries",
-//!     outcome.races.len(),
-//!     outcome.order_log.len()
+//!     det.races().len(),
+//!     det.recorder().entries().len()
 //! );
+//! // The recorded order replays the run exactly (§3.3).
+//! record_and_verify(&machine, &workload, &CordConfig::paper(), 42, InjectionPlan::none())?;
 //! # Ok::<(), cord::core::CordError>(())
 //! ```
 
@@ -60,8 +64,8 @@ pub use cord_workloads as workloads;
 
 /// Commonly used types, importable with `use cord::prelude::*`.
 ///
-/// Extends [`cord_core::prelude`] (detector, harness, machine, replay,
-/// and workload-building types) with the clock primitives and the raw
+/// Extends [`cord_core::prelude`] (detector, machine, replay, and
+/// workload-building types) with the clock primitives and the raw
 /// thread-program model.
 pub mod prelude {
     pub use cord_clocks::{ClockPolicy, ScalarTime, VectorClock};
@@ -89,8 +93,7 @@ pub mod stream {
         decode_capture, decode_events, encode_capture, read_frame, write_frame,
     };
     pub use cord_obs::{
-        kind_from_name, kind_name, StreamEvent, StreamGeometry, StreamHeader, WireError,
-        WIRE_VERSION,
+        kind_name, StreamEvent, StreamGeometry, StreamHeader, WireError, WIRE_VERSION,
     };
     pub use cord_serve::{Daemon, DaemonConfig, Query, ServeClient, ServeError};
 }

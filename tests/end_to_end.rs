@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: workloads × simulator × detectors ×
 //! replay, end to end.
 
-use cord::core::{CordConfig, CordDetector, ExperimentHarness};
+use cord::core::{record_and_verify, CordConfig, CordDetector};
 use cord::detectors::{IdealDetector, VcConfig, VcLimitedDetector};
 use cord::inject::Campaign;
 use cord::sim::config::MachineConfig;
@@ -71,14 +71,20 @@ fn no_detector_fires_on_clean_runs() {
 /// replayed". Every kernel, clean + two injected runs.
 #[test]
 fn replay_is_exact_for_every_kernel() {
+    let machine = MachineConfig::paper_4core();
     for app in all_apps() {
         let w = kernel(app, ScaleClass::Tiny, 4, 17);
-        let h = ExperimentHarness::new(MachineConfig::paper_4core()).with_seed(17);
-        h.verify_replay(&w, &CordConfig::paper(), InjectionPlan::none())
-            .unwrap_or_else(|e| panic!("{} clean replay failed: {e}", w.name()));
-        let campaign = Campaign::plan(&MachineConfig::paper_4core(), &w, 2, 3).expect("dry run");
+        record_and_verify(
+            &machine,
+            &w,
+            &CordConfig::paper(),
+            17,
+            InjectionPlan::none(),
+        )
+        .unwrap_or_else(|e| panic!("{} clean replay failed: {e}", w.name()));
+        let campaign = Campaign::plan(&machine, &w, 2, 3).expect("dry run");
         for t in campaign.targets {
-            h.verify_replay(&w, &CordConfig::paper(), t.plan())
+            record_and_verify(&machine, &w, &CordConfig::paper(), 17, t.plan())
                 .unwrap_or_else(|e| panic!("{} injected({t}) replay failed: {e}", w.name()));
         }
     }
@@ -125,17 +131,24 @@ fn cord_detects_injected_problems_across_suite() {
 fn order_logs_are_compact() {
     for app in all_apps() {
         let w = kernel(app, ScaleClass::Tiny, 4, 23);
-        let h = ExperimentHarness::new(MachineConfig::paper_4core()).with_seed(23);
-        let out = h.run_cord(&w, &CordConfig::paper()).expect("run completes");
-        assert!(out.log_bytes > 0, "{}: empty log", w.name());
+        let det = CordDetector::new(CordConfig::paper(), 4, 4);
+        let m = Machine::new(
+            MachineConfig::paper_4core(),
+            &w,
+            det,
+            23,
+            InjectionPlan::none(),
+        );
+        let (_, det) = m.run_stats().expect("run completes");
+        let log_bytes = det.recorder().bytes();
+        assert!(log_bytes > 0, "{}: empty log", w.name());
         assert!(
-            out.log_bytes < 512 * 1024,
-            "{}: log too large ({} bytes)",
-            w.name(),
-            out.log_bytes
+            log_bytes < 512 * 1024,
+            "{}: log too large ({log_bytes} bytes)",
+            w.name()
         );
         // 8 bytes per entry, exactly.
-        assert_eq!(out.log_bytes, out.order_log.len() as u64 * 8);
+        assert_eq!(log_bytes, det.recorder().entries().len() as u64 * 8);
     }
 }
 
@@ -257,10 +270,18 @@ fn hardware_log_encoding_survives_record_and_replay() {
 fn replay_parallelism_is_sane_on_real_logs() {
     use cord::core::replay_parallelism;
     let w = kernel(AppKind::WaterN2, ScaleClass::Tiny, 4, 41);
-    let h = ExperimentHarness::new(MachineConfig::paper_4core()).with_seed(41);
-    let out = h.run_cord(&w, &CordConfig::paper()).expect("run completes");
-    let p = replay_parallelism(&out.order_log);
-    assert_eq!(p.segments, out.order_log.len());
+    let det = CordDetector::new(CordConfig::paper(), 4, 4);
+    let m = Machine::new(
+        MachineConfig::paper_4core(),
+        &w,
+        det,
+        41,
+        InjectionPlan::none(),
+    );
+    let (_, det) = m.run_stats().expect("run completes");
+    let log = det.recorder().entries();
+    let p = replay_parallelism(log);
+    assert_eq!(p.segments, log.len());
     assert!(p.mean_width >= 1.0);
     assert!(p.waves <= p.segments);
     assert!(p.max_width >= 1);
@@ -292,9 +313,14 @@ fn more_threads_than_cores_is_clean_and_replays() {
         assert!(det.stats().migration_bumps > 0);
 
         // Replay verification with time multiplexing.
-        let h = ExperimentHarness::new(machine).with_seed(47);
-        h.verify_replay(&w, &CordConfig::paper(), InjectionPlan::none())
-            .unwrap_or_else(|e| panic!("{threads}-thread replay failed: {e}"));
+        record_and_verify(
+            &machine,
+            &w,
+            &CordConfig::paper(),
+            47,
+            InjectionPlan::none(),
+        )
+        .unwrap_or_else(|e| panic!("{threads}-thread replay failed: {e}"));
     }
 }
 
