@@ -125,10 +125,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn scale_of(s: ScaleClassOpt) -> ScaleClass {
-    s.into()
-}
-
 fn main() -> Result<(), Box<dyn Error>> {
     let args = parse_args()?;
     let opts = SweepOptions {
@@ -209,7 +205,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         None
     };
 
-    let scale = scale_of(args.scale);
+    let scale: ScaleClass = args.scale.into();
     let cmd = args.command.as_str();
     if cmd == "table1" || cmd == "all" {
         println!("{}", figures::table1(scale));
@@ -253,7 +249,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!("{}", figures::area_table());
     }
     if cmd == "replay" || cmd == "all" {
-        println!("{}", figures::replay_check(ScaleClass::Tiny, args.seed, 2));
+        println!("{}", figures::replay_check(scale, args.seed, 2));
     }
     if cmd == "ablations" || cmd == "all" {
         println!(

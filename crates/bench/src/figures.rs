@@ -1,6 +1,6 @@
 //! Computation and rendering of every table and figure in §4.
 
-use crate::sweep::{SweepOptions, SweepResults};
+use crate::sweep::{run_group, SweepOptions, SweepResults};
 use cord_core::replay::{record_and_verify, replay_parallelism};
 use cord_core::{area, CordConfig, CordDetector, CordError};
 use cord_detectors::DetectorConfig;
@@ -956,59 +956,42 @@ pub fn replay_concurrency(scale: ScaleClass, seed: u64) -> Result<FigureTable, C
 /// are race-free by construction) and the §3.4-style injection yield
 /// on each coherence backend: how many removable-sync removals produce
 /// a ground-truth race, and how many of those CORD itself reports.
+/// Each run is one machine with CORD-D16 leading and an Ideal follower:
+/// the follower's verdict on CORD's own interleaving is the ground
+/// truth.
 ///
 /// # Errors
 ///
 /// Returns the [`CordError`] of the first failing clean run; injected
 /// runs are allowed to abort (removals may deadlock) and are skipped.
 pub fn lockfree_family(scale: ScaleClass, seed: u64) -> Result<FigureTable, CordError> {
-    use cord_fuzz::truthhb::{racy_words, Tandem};
     use cord_inject::count_instances;
     use cord_sim::config::{CoherenceKind, Watchdog};
-    use std::collections::BTreeSet;
 
+    let group = [DetectorConfig::Cord { d: 16 }, DetectorConfig::Ideal];
     let backends = [CoherenceKind::SnoopingBus, CoherenceKind::Directory];
     let mut rows = Vec::new();
     for app in lockfree_apps() {
         let w = kernel(app, scale, 4, seed);
-        let threads = w.num_threads();
         let mut clean_races = 0u64;
         let mut cols: Vec<Option<f64>> = Vec::new();
         for backend in backends {
             let cfg = MachineConfig::paper_4core()
                 .with_coherence(backend)
                 .with_watchdog(Watchdog::new(200_000_000, 20_000_000));
-            let det = CordDetector::new(CordConfig::paper(), threads, cfg.cores);
-            let m = Machine::new(
-                cfg.clone(),
-                &w,
-                Tandem::new(det),
-                seed,
-                InjectionPlan::none(),
-            );
-            let (_, tandem) = m.run_stats()?;
-            clean_races += tandem.det.races().len() as u64;
+            let run = |plan| run_group(&group, cfg.clone(), &w, seed, plan, None);
+            clean_races += run(InjectionPlan::none())?[0].races;
             let counts = count_instances(&cfg, &w, seed)?;
             let mut truth_racy = 0u64;
             let mut caught = 0u64;
             for n in 0..counts.acquires {
-                let det = CordDetector::new(CordConfig::paper(), threads, cfg.cores);
-                let m = Machine::new(
-                    cfg.clone(),
-                    &w,
-                    Tandem::new(det),
-                    seed,
-                    InjectionPlan::remove_nth(n),
-                );
-                let Ok((_, tandem)) = m.run_stats() else {
+                let Ok(found) = run(InjectionPlan::remove_nth(n)) else {
                     continue;
                 };
-                if racy_words(&tandem.rec.events, threads, &BTreeSet::new()).is_empty() {
-                    continue;
-                }
-                truth_racy += 1;
-                if !tandem.det.races().is_empty() {
-                    caught += 1;
+                let (cord, ideal) = (found[0], found[1]);
+                if ideal.found() {
+                    truth_racy += 1;
+                    caught += u64::from(cord.found());
                 }
             }
             cols.push(Some(truth_racy as f64));

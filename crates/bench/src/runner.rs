@@ -42,8 +42,8 @@
 use crate::checkpoint::{options_hash, Checkpoint};
 use crate::obs::{ObsSink, DEFAULT_TRACE_CAPACITY};
 use crate::sweep::{
-    plan_campaign, run_config_impl, run_injection, run_seed, sweep_workload, AppSweep, Detection,
-    RunObsCtx, RunRecord, RunStatus, SweepOptions, SweepResults,
+    plan_apps, run_group, run_injection, run_matrix, run_seed, sweep_workload, AppSweep, Detection,
+    PlannedApp, RunObsCtx, RunRecord, RunStatus, SweepOptions, SweepResults,
 };
 use cord_core::CordError;
 use cord_detectors::DetectorConfig;
@@ -52,7 +52,6 @@ use cord_pool::{lock_unpoisoned, BatchProgress, Pool};
 use cord_sim::engine::{InjectionPlan, SimError};
 use cord_trace::program::Workload;
 use cord_workloads::{all_apps, AppKind};
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -224,16 +223,6 @@ impl SweepRunner {
         self.run_filtered(configs, &self.apps, self.checkpoint.as_deref())
     }
 
-    /// Sweeps a single application (never checkpointed: single-app
-    /// sweeps are cheap and the checkpoint hash covers the full app
-    /// set).
-    pub fn run_app(&self, app: AppKind, configs: &[DetectorConfig]) -> AppSweep {
-        let mut results = self
-            .run_filtered(configs, &[app], None)
-            .unwrap_or_else(|e| panic!("checkpoint-less sweep cannot fail: {e}"));
-        results.apps.swap_remove(0)
-    }
-
     /// Runs one detector configuration over one workload — the
     /// innermost cell of the sweep matrix.
     ///
@@ -248,7 +237,9 @@ impl SweepRunner {
         seed: u64,
         plan: InjectionPlan,
     ) -> Result<Detection, SimError> {
-        run_config_impl(config, workload, seed, plan, &self.opts, None)
+        let machine = self.opts.machine_for(config);
+        let found = run_group(&[config], machine, workload, seed, plan, None)?;
+        Ok(found[0])
     }
 
     /// Re-executes one recorded run exactly as the sweep did — used to
@@ -312,51 +303,17 @@ impl SweepRunner {
 
         // Phase 1: plan the injection campaigns (one watchdogged dry
         // run per app), fanned across the pool.
-        let workloads: Vec<Workload> = todo.iter().map(|&a| sweep_workload(a, &opts)).collect();
-        let plan_jobs: Vec<_> = todo
-            .iter()
-            .zip(&workloads)
-            .map(|(&app, workload)| move || plan_campaign(workload, app, &opts))
-            .collect();
-        let planned = match &self.progress {
-            Some(cb) => pool.run_ordered_with(plan_jobs, |bp| {
+        let (workloads, planned) = plan_apps(&todo, &opts, &pool, |bp| {
+            if let Some(cb) = &self.progress {
                 cb(&SweepProgress::of("plan", bp, resumed.len(), apps_total));
-            }),
-            None => pool.run_ordered(plan_jobs),
-        };
-
-        // A panic while planning is an app-level failure, recorded the
-        // same way as a failed dry run.
+            }
+        });
         let mut state = SweepState {
             resumed,
             extra,
-            cells: Vec::with_capacity(todo.len()),
+            cells: planned.into_iter().map(AppCell::new).collect(),
             flush_err: None,
         };
-        for (workload, campaign) in workloads.iter().zip(planned) {
-            let campaign =
-                campaign.unwrap_or_else(|p| Err(format!("campaign planning panicked: {p}")));
-            state.cells.push(match campaign {
-                Ok(c) => AppCell {
-                    name: workload.name().to_string(),
-                    acquires: c.counts.acquires,
-                    releases: c.counts.releases,
-                    dry_run_error: None,
-                    remaining: c.targets.len(),
-                    records: vec![None; c.targets.len()],
-                    targets: c.targets,
-                },
-                Err(e) => AppCell {
-                    name: workload.name().to_string(),
-                    acquires: 0,
-                    releases: 0,
-                    dry_run_error: Some(e),
-                    remaining: 0,
-                    records: Vec::new(),
-                    targets: Vec::new(),
-                },
-            });
-        }
 
         // Flush once before the run batch so apps with zero runs
         // (failed dry runs) and resumed apps are on disk even if every
@@ -371,17 +328,7 @@ impl SweepRunner {
         // by (app, run index); each worker writes its record into the
         // app's slot and the app's checkpoint flush happens when its
         // last run lands.
-        let matrix: Vec<(usize, usize, InjectionTarget)> = state
-            .cells
-            .iter()
-            .enumerate()
-            .flat_map(|(ai, cell)| {
-                cell.targets
-                    .iter()
-                    .enumerate()
-                    .map(move |(ri, &target)| (ai, ri, target))
-            })
-            .collect();
+        let matrix = run_matrix(state.cells.iter().map(|c| &c.plan));
         let shared = Mutex::new(state);
         // Serializes concurrent checkpoint writes (two apps finishing
         // at once) without making `record()` wait on disk I/O.
@@ -450,19 +397,10 @@ impl SweepRunner {
         for (&(ai, ri, target), outcome) in matrix.iter().zip(&outcomes) {
             if let Err(p) = outcome {
                 if state.cells[ai].records[ri].is_none() {
-                    state.record(
-                        ai,
-                        ri,
-                        RunRecord {
-                            target,
-                            status: RunStatus::Panicked {
-                                msg: p.message.clone(),
-                            },
-                            detail: None,
-                            ideal: None,
-                            detections: BTreeMap::new(),
-                        },
-                    );
+                    let status = RunStatus::Panicked {
+                        msg: p.message.clone(),
+                    };
+                    state.record(ai, ri, RunRecord::failed(target, status, None));
                     if state.cells[ai].remaining == 0 {
                         if let Some(path) = checkpoint {
                             state.flush(path, hash, &opts, apps);
@@ -486,7 +424,7 @@ impl SweepRunner {
                 return Err(io::Error::other(CordError::Pool(format!(
                     "worker pool lost {} run(s) of app {}",
                     cell.records.iter().filter(|r| r.is_none()).count(),
-                    cell.name
+                    cell.plan.app
                 ))));
             }
             out.push(cell.assemble());
@@ -499,44 +437,37 @@ impl SweepRunner {
     }
 }
 
-/// One application's in-flight results.
+/// One application's in-flight results: its planned campaign plus a
+/// record slot per target.
 struct AppCell {
-    name: String,
-    acquires: u64,
-    releases: u64,
-    dry_run_error: Option<String>,
+    plan: PlannedApp,
     remaining: usize,
     records: Vec<Option<RunRecord>>,
-    targets: Vec<InjectionTarget>,
 }
 
 impl AppCell {
+    fn new(plan: PlannedApp) -> AppCell {
+        AppCell {
+            remaining: plan.targets.len(),
+            records: vec![None; plan.targets.len()],
+            plan,
+        }
+    }
+
     /// Assembles the finished [`AppSweep`]. Slots a lost worker never
     /// filled (unreachable in practice) surface as panicked runs so a
     /// checkpoint flush can never render a half-empty app.
     fn assemble(&self) -> AppSweep {
-        AppSweep {
-            app: self.name.clone(),
-            acquire_instances: self.acquires,
-            release_instances: self.releases,
-            dry_run_error: self.dry_run_error.clone(),
-            runs: self
-                .records
-                .iter()
-                .zip(&self.targets)
-                .map(|(r, &target)| {
-                    r.clone().unwrap_or_else(|| RunRecord {
-                        target,
-                        status: RunStatus::Panicked {
-                            msg: "run lost by worker pool (slot never filled)".to_string(),
-                        },
-                        detail: None,
-                        ideal: None,
-                        detections: BTreeMap::new(),
-                    })
+        let runs = self.records.iter().zip(&self.plan.targets);
+        self.plan.sweep(
+            runs.map(|(r, &target)| {
+                r.clone().unwrap_or_else(|| {
+                    let msg = "run lost by worker pool (slot never filled)".to_string();
+                    RunRecord::failed(target, RunStatus::Panicked { msg }, None)
                 })
-                .collect(),
-        }
+            })
+            .collect(),
+        )
     }
 }
 
@@ -561,19 +492,23 @@ impl SweepState {
         self.resumed.len() + self.cells.iter().filter(|c| c.remaining == 0).count()
     }
 
-    /// The apps a checkpoint written now should carry: resumed +
-    /// completed, in canonical order, with foreign apps appended.
-    fn checkpoint_apps(&self, order: &[AppKind]) -> Vec<AppSweep> {
-        let mut out = self.resumed.clone();
-        out.extend(
+    /// The checkpoint to write now: resumed + completed apps, in
+    /// canonical order, with foreign apps appended.
+    fn checkpoint(&self, hash: u64, opts: &SweepOptions, order: &[AppKind]) -> Checkpoint {
+        let mut apps = self.resumed.clone();
+        apps.extend(
             self.cells
                 .iter()
                 .filter(|c| c.remaining == 0)
                 .map(AppCell::assemble),
         );
-        sort_canonical(&mut out, order);
-        out.extend(self.extra.iter().cloned());
-        out
+        sort_canonical(&mut apps, order);
+        apps.extend(self.extra.iter().cloned());
+        Checkpoint {
+            options_hash: hash,
+            options: *opts,
+            apps,
+        }
     }
 
     /// Atomically rewrites the checkpoint; the first write error is
@@ -581,18 +516,13 @@ impl SweepState {
     /// in-flight simulation work. Serial-path variant of
     /// [`flush_checkpoint`] for when no workers are running.
     fn flush(&mut self, path: &Path, hash: u64, opts: &SweepOptions, order: &[AppKind]) {
-        let cp = Checkpoint {
-            options_hash: hash,
-            options: *opts,
-            apps: self.checkpoint_apps(order),
-        };
-        if let Err(e) = cp.store(path) {
+        if let Err(e) = self.checkpoint(hash, opts, order).store(path) {
             self.flush_err.get_or_insert(e);
         }
     }
 }
 
-/// Worker-side checkpoint flush: snapshots [`SweepState::checkpoint_apps`]
+/// Worker-side checkpoint flush: snapshots [`SweepState::checkpoint`]
 /// under the state lock, then serializes and writes the file with the
 /// lock *released*, so a slow disk never blocks sibling workers'
 /// `record()` calls. `io_lock` serializes concurrent flushes (they
@@ -609,12 +539,7 @@ fn flush_checkpoint(
 ) {
     let started = Instant::now();
     let _io = lock_unpoisoned(io_lock);
-    let apps = lock_unpoisoned(shared).checkpoint_apps(order);
-    let cp = Checkpoint {
-        options_hash: hash,
-        options: *opts,
-        apps,
-    };
+    let cp = lock_unpoisoned(shared).checkpoint(hash, opts, order);
     if let Err(e) = cp.store(path) {
         lock_unpoisoned(shared).flush_err.get_or_insert(e);
     }

@@ -42,8 +42,8 @@
 
 use crate::obs::ObsSink;
 use crate::sweep::{
-    plan_campaign, run_injection, run_seed, sweep_workload, target_from_json, target_to_json,
-    AppSweep, RunObsCtx, RunRecord, RunStatus, SweepOptions, SweepResults,
+    plan_apps, run_injection, run_matrix, run_seed, sweep_workload, AppSweep, PlannedApp,
+    RunObsCtx, RunRecord, RunStatus, SweepOptions, SweepResults,
 };
 use cord_detectors::DetectorConfig;
 use cord_fuzz::campaign::{run_campaign_cases, CampaignConfig, CampaignReport, CaseReport};
@@ -365,51 +365,6 @@ impl CampaignDir {
 // ---------------------------------------------------------------------
 // Sweep plan (coordinator plans once; all workers share it)
 
-/// One app's planned campaign, as stored in `plan.json`.
-#[derive(Debug, Clone)]
-pub struct PlannedApp {
-    /// Application name.
-    pub app: String,
-    /// Removable acquire-site instances counted by the dry run.
-    pub acquires: u64,
-    /// Removable release-site instances counted by the dry run.
-    pub releases: u64,
-    /// The dry-run failure, if planning failed (no targets then).
-    pub dry_run_error: Option<String>,
-    /// The drawn injection targets, in run order.
-    pub targets: Vec<InjectionTarget>,
-}
-
-impl PlannedApp {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("app", self.app.to_json()),
-            ("acquires", self.acquires.to_json()),
-            ("releases", self.releases.to_json()),
-            ("dry_run_error", self.dry_run_error.to_json()),
-            (
-                "targets",
-                Json::Array(self.targets.iter().map(target_to_json).collect()),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<PlannedApp, JsonError> {
-        Ok(PlannedApp {
-            app: String::from_json(v.field("app")?)?,
-            acquires: u64::from_json(v.field("acquires")?)?,
-            releases: u64::from_json(v.field("releases")?)?,
-            dry_run_error: Option::<String>::from_json(v.field("dry_run_error")?)?,
-            targets: v
-                .field("targets")?
-                .as_array()?
-                .iter()
-                .map(target_from_json)
-                .collect::<Result<_, _>>()?,
-        })
-    }
-}
-
 /// The shared sweep plan: per-app target sets plus the flattened
 /// global cell list every shard partitions identically.
 #[derive(Debug, Clone)]
@@ -422,16 +377,7 @@ impl SweepPlan {
     /// The flattened (app index, run index, target) cells, in global
     /// index order — the unit the shard plan partitions.
     pub fn cells(&self) -> Vec<(usize, usize, InjectionTarget)> {
-        self.apps
-            .iter()
-            .enumerate()
-            .flat_map(|(ai, app)| {
-                app.targets
-                    .iter()
-                    .enumerate()
-                    .map(move |(ri, &t)| (ai, ri, t))
-            })
-            .collect()
+        run_matrix(&self.apps)
     }
 
     fn to_doc(&self, spec_hash: u64) -> Json {
@@ -439,7 +385,7 @@ impl SweepPlan {
             ("spec_hash", spec_hash.to_json()),
             (
                 "apps",
-                Json::Array(self.apps.iter().map(PlannedApp::to_json).collect()),
+                Json::Array(self.apps.iter().map(ToJson::to_json).collect()),
             ),
         ])
     }
@@ -466,44 +412,7 @@ impl SweepPlan {
 /// `jobs` threads) — deterministic, so the coordinator can plan once
 /// and every worker reuses the same `plan.json`.
 pub fn plan_sweep(spec: &SweepSpec, jobs: usize) -> SweepPlan {
-    let opts = spec.opts;
-    let workloads: Vec<_> = spec
-        .apps
-        .iter()
-        .map(|&a| sweep_workload(a, &opts))
-        .collect();
-    let pool = Pool::new(jobs.max(1));
-    let jobs_vec: Vec<_> = spec
-        .apps
-        .iter()
-        .zip(&workloads)
-        .map(|(&app, workload)| move || plan_campaign(workload, app, &opts))
-        .collect();
-    let planned = pool.run_ordered(jobs_vec);
-    let apps = workloads
-        .iter()
-        .zip(planned)
-        .map(|(workload, outcome)| {
-            let campaign =
-                outcome.unwrap_or_else(|p| Err(format!("campaign planning panicked: {p}")));
-            match campaign {
-                Ok(c) => PlannedApp {
-                    app: workload.name().to_string(),
-                    acquires: c.counts.acquires,
-                    releases: c.counts.releases,
-                    dry_run_error: None,
-                    targets: c.targets,
-                },
-                Err(e) => PlannedApp {
-                    app: workload.name().to_string(),
-                    acquires: 0,
-                    releases: 0,
-                    dry_run_error: Some(e),
-                    targets: Vec::new(),
-                },
-            }
-        })
-        .collect();
+    let (_, apps) = plan_apps(&spec.apps, &spec.opts, &Pool::new(jobs.max(1)), |_| {});
     SweepPlan { apps }
 }
 
@@ -814,16 +723,11 @@ fn worker_sweep(
             if let Err(p) = outcome {
                 state.cells.entry(index).or_insert_with(|| {
                     let (_, _, target) = cells[index];
+                    let status = RunStatus::Panicked {
+                        msg: p.message.clone(),
+                    };
                     (
-                        RunRecord {
-                            target,
-                            status: RunStatus::Panicked {
-                                msg: p.message.clone(),
-                            },
-                            detail: None,
-                            ideal: None,
-                            detections: BTreeMap::new(),
-                        },
+                        RunRecord::failed(target, status, None),
                         MetricsRegistry::default(),
                     )
                 });
@@ -1150,13 +1054,8 @@ fn merge_sweep(
                     .get(&shard)
                     .cloned()
                     .unwrap_or_else(|| format!("shard {shard} produced no record"));
-                runs_by_app[ai].push(RunRecord {
-                    target,
-                    status: RunStatus::Abandoned { reason },
-                    detail: None,
-                    ideal: None,
-                    detections: BTreeMap::new(),
-                });
+                let status = RunStatus::Abandoned { reason };
+                runs_by_app[ai].push(RunRecord::failed(target, status, None));
             }
         }
     }
@@ -1164,13 +1063,7 @@ fn merge_sweep(
         .apps
         .iter()
         .zip(runs_by_app)
-        .map(|(planned, runs)| AppSweep {
-            app: planned.app.clone(),
-            acquire_instances: planned.acquires,
-            release_instances: planned.releases,
-            dry_run_error: planned.dry_run_error.clone(),
-            runs,
-        })
+        .map(|(planned, runs)| planned.sweep(runs))
         .collect();
     let results = SweepResults {
         options: sweep.opts,

@@ -14,7 +14,7 @@ use cord_detectors::{DetectorConfig, DetectorEnum};
 use cord_inject::{Campaign, InjectionTarget};
 use cord_json::{obj, FromJson, Json, JsonError, ToJson};
 use cord_obs::{Histogram, MetricsRegistry, TraceHandle};
-use cord_pool::panic_message;
+use cord_pool::{panic_message, BatchProgress, Pool};
 use cord_sim::config::{CoherenceKind, MachineConfig, Watchdog};
 use cord_sim::engine::{InjectionPlan, Machine, SimError};
 use cord_sim::stats::SimStats;
@@ -256,6 +256,20 @@ pub struct RunRecord {
     pub detections: BTreeMap<String, Detection>,
 }
 
+impl RunRecord {
+    /// The record of a run that did not complete: no Ideal verdict and
+    /// no detections, only how it ended.
+    pub fn failed(target: InjectionTarget, status: RunStatus, detail: Option<String>) -> RunRecord {
+        RunRecord {
+            target,
+            status,
+            detail,
+            ideal: None,
+            detections: BTreeMap::new(),
+        }
+    }
+}
+
 /// All injected runs of one application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppSweep {
@@ -392,8 +406,8 @@ impl SweepResults {
 
 /// Observability context for one sweep cell: where traces and metrics
 /// from this (app, run) land, threaded from the runner down into
-/// [`run_config_impl`]. `None` everywhere keeps the zero-overhead
-/// disabled path (no trace ring, no registry work).
+/// [`run_group`]. `None` everywhere keeps the zero-overhead disabled
+/// path (no trace ring, no registry work).
 #[derive(Clone, Copy)]
 pub(crate) struct RunObsCtx<'a> {
     /// The sweep-wide sink.
@@ -404,31 +418,34 @@ pub(crate) struct RunObsCtx<'a> {
     pub run_index: usize,
 }
 
-/// Shared implementation behind
-/// [`SweepRunner::run_detector`](crate::runner::SweepRunner::run_detector):
-/// construct the configuration's detector through
-/// [`DetectorConfig::build_sink`], run it on the configuration's
-/// machine under the sweep's watchdog, and count what it found. The
-/// machine is `Machine<SinkObserver<DetectorEnum>>` — the sink API with
-/// the observer adapter over it — so the whole (app × run) inner loop
-/// is monomorphized: no virtual dispatch per access, and inline
-/// detection exercises the very ingestion path a capture replay or the
-/// daemon uses.
+/// Runs a group of configurations on one `Machine` and counts what each
+/// found — the one run path behind every sweep cell,
+/// [`SweepRunner::run_detector`](crate::runner::SweepRunner::run_detector)
+/// and the lock-free table. Each member's detector is built through
+/// [`DetectorConfig::build_sink`] and observes the run through a
+/// leader-led [`FanOutObserver`]: `group[0]` leads and may act (its
+/// outcome reaches the machine), and every later member must be passive,
+/// so it sees exactly the run the leader would have had alone. The
+/// machine is `Machine<FanOutObserver<SinkObserver<DetectorEnum>>>`, so
+/// the (app × run) inner loop is monomorphized: no virtual dispatch per
+/// access, and inline detection exercises the very ingestion path a
+/// capture replay or the daemon uses.
 ///
-/// With `obs` set, the machine and detector share a bounded trace ring
-/// whose snapshot is written per cell, and the run's simulator and
-/// detector counters are merged into the sweep's metrics registry.
-/// Only completed runs contribute metrics; aborted runs have no final
-/// statistics to reconcile.
-pub(crate) fn run_config_impl(
-    config: DetectorConfig,
+/// With `obs` set, every member keeps its own [`LatencyObserver`], the
+/// run's statistics are merged once per member, and a tracing sink
+/// shares a bounded trace ring between the machine and the detectors
+/// whose snapshot is written per cell (so a traced group should hold one
+/// configuration; see [`machine_groups`]). Only completed runs
+/// contribute metrics; aborted runs have no final statistics to
+/// reconcile.
+pub(crate) fn run_group(
+    group: &[DetectorConfig],
+    machine: MachineConfig,
     workload: &Workload,
     seed: u64,
     plan: InjectionPlan,
-    opts: &SweepOptions,
     obs: Option<RunObsCtx<'_>>,
-) -> Result<Detection, SimError> {
-    let machine = opts.machine_for(config);
+) -> Result<Vec<Detection>, SimError> {
     let trace = match obs {
         Some(o) if o.sink.tracing() => Some(TraceHandle::bounded(o.sink.trace_capacity())),
         _ => None,
@@ -437,71 +454,22 @@ pub(crate) fn run_config_impl(
         Some(h) => ObsCtx::with_trace(h.clone()),
         None => ObsCtx::disabled(),
     };
-    let det = config.build_sink(workload.num_threads(), machine.cores, seed, ctx);
-    // Two machine instantiations, not a runtime flag: the disabled path
-    // is the plain `Machine<SinkObserver<_>>` with no timing code in it
-    // at all, so observability stays provably free when off. The
-    // obs-enabled path wraps the observer in a LatencyObserver that
-    // times every on_access into a histogram.
-    let (stats, mut det, access_latency) = if obs.is_some() {
-        let mut m = Machine::new(
-            machine,
-            workload,
-            LatencyObserver::new(SinkObserver::new(det)),
-            seed,
-            plan,
-        );
-        if let Some(h) = &trace {
-            m = m.with_trace(h.clone());
-        }
-        let (stats, lat) = m.run_stats()?;
-        let (det, hist) = lat.into_parts();
-        (stats, det, Some(hist))
-    } else {
-        let mut m = Machine::new(machine, workload, SinkObserver::new(det), seed, plan);
-        if let Some(h) = &trace {
-            m = m.with_trace(h.clone());
-        }
-        let (stats, det) = m.run_stats()?;
-        (stats, det, None)
-    };
-    Ok(finish_cell(
-        config,
-        &stats,
-        &mut det,
-        access_latency.as_ref(),
-        trace.as_ref(),
-        obs,
-    ))
-}
-
-/// Runs a group of passive configurations on one `Machine`: each
-/// member's detector observes the same run through a
-/// [`FanOutObserver`], which asserts that none of them charges the bus.
-/// Passive detectors leave the machine's timing alone, so the shared
-/// run is the run each member would have had on its own. With `obs`
-/// set, every member keeps its own [`LatencyObserver`], and the run's
-/// statistics are merged once per member, exactly as the members'
-/// separate runs would have merged them. Groups never carry a trace
-/// ring (see [`run_injection`]).
-fn run_shared(
-    group: &[DetectorConfig],
-    workload: &Workload,
-    seed: u64,
-    plan: InjectionPlan,
-    opts: &SweepOptions,
-    obs: Option<RunObsCtx<'_>>,
-) -> Result<Vec<Detection>, SimError> {
-    let machine = opts.machine_for(group[0]);
     let (threads, cores) = (workload.num_threads(), machine.cores);
     let sinks = group
         .iter()
-        .map(|c| SinkObserver::new(c.build_sink(threads, cores, seed, ObsCtx::disabled())));
-    // The same two instantiations as `run_config_impl`: no timing code
-    // on the disabled path.
+        .map(|c| SinkObserver::new(c.build_sink(threads, cores, seed, ctx.clone())));
+    // Two machine instantiations, not a runtime flag: the disabled path
+    // is the plain `Machine<FanOutObserver<SinkObserver<_>>>` with no
+    // timing code in it at all, so observability stays provably free
+    // when off. The obs-enabled path wraps each member in a
+    // LatencyObserver that times every on_access into a histogram.
     let (stats, members) = if obs.is_some() {
         let fan = FanOutObserver::new(sinks.map(LatencyObserver::new).collect());
-        let (stats, fan) = Machine::new(machine, workload, fan, seed, plan).run_stats()?;
+        let mut m = Machine::new(machine, workload, fan, seed, plan);
+        if let Some(h) = &trace {
+            m = m.with_trace(h.clone());
+        }
+        let (stats, fan) = m.run_stats()?;
         let members = fan.into_members().into_iter().map(|lat| {
             let (det, hist) = lat.into_parts();
             (det, Some(hist))
@@ -517,7 +485,7 @@ fn run_shared(
         .iter()
         .zip(members)
         .map(|(&config, (mut det, hist))| {
-            finish_cell(config, &stats, &mut det, hist.as_ref(), None, obs)
+            finish_cell(config, &stats, &mut det, hist.as_ref(), trace.as_ref(), obs)
         })
         .collect())
 }
@@ -556,6 +524,11 @@ fn finish_cell(
 /// leader is passive and runs an equal machine; any other configuration
 /// starts a group of its own, and so does every configuration when
 /// `share` is off. A configuration listed twice runs once.
+///
+/// The fan-out would let an acting leader such as CORD carry passive
+/// followers, but then they would see CORD's interleaving rather than
+/// the run each has alone. The sweep compares every configuration on
+/// its own run, so only a passive leader is shared here.
 fn machine_groups(
     configs: &[DetectorConfig],
     opts: &SweepOptions,
@@ -581,14 +554,14 @@ fn machine_groups(
 }
 
 /// Runs the Ideal oracle and every configuration on one injected run
-/// behind a panic boundary, producing the run's record. Configurations
-/// that share a machine and are passive run on one simulation
-/// ([`machine_groups`]); a group of one goes through
-/// [`run_config_impl`]. Members' machines equal their leader's, so a
-/// group fails exactly where its leader alone would have, and the
-/// record is the one separate runs would produce. A sweep that writes
-/// per-cell traces runs every configuration alone, because a cell's
-/// trace interleaves the machine's own events with its detector's.
+/// behind a panic boundary, producing the run's record. Each group from
+/// [`machine_groups`] is one [`run_group`] simulation on its leader's
+/// machine. Members' machines equal their leader's and followers are
+/// passive, so a group fails exactly where its leader alone would have,
+/// and the record is the one separate runs would produce. A sweep that
+/// writes per-cell traces runs every configuration alone, because a
+/// cell's trace interleaves the machine's own events with its
+/// detector's.
 pub(crate) fn run_injection(
     target: InjectionTarget,
     configs: &[DetectorConfig],
@@ -603,10 +576,8 @@ pub(crate) fn run_injection(
     let outcome: Result<Result<RunOk, SimError>, _> = catch_unwind(AssertUnwindSafe(|| {
         let mut detections = BTreeMap::new();
         for group in machine_groups(configs, opts, share) {
-            let found = match group[..] {
-                [config] => vec![run_config_impl(config, workload, seed, plan, opts, obs)?],
-                _ => run_shared(&group, workload, seed, plan, opts, obs)?,
-            };
+            let machine = opts.machine_for(group[0]);
+            let found = run_group(&group, machine, workload, seed, plan, obs)?;
             for (config, det) in group.iter().zip(found) {
                 detections.insert(config.label(), det);
             }
@@ -626,22 +597,18 @@ pub(crate) fn run_injection(
             ideal: Some(ideal),
             detections,
         },
-        Ok(Err(sim)) => RunRecord {
+        Ok(Err(sim)) => RunRecord::failed(
             target,
-            status: RunStatus::from_sim_error(&sim),
-            detail: Some(sim.to_string()),
-            ideal: None,
-            detections: BTreeMap::new(),
-        },
-        Err(payload) => RunRecord {
+            RunStatus::from_sim_error(&sim),
+            Some(sim.to_string()),
+        ),
+        Err(payload) => RunRecord::failed(
             target,
-            status: RunStatus::Panicked {
+            RunStatus::Panicked {
                 msg: panic_message(payload.as_ref()),
             },
-            detail: None,
-            ideal: None,
-            detections: BTreeMap::new(),
-        },
+            None,
+        ),
     }
 }
 
@@ -658,16 +625,53 @@ pub(crate) fn sweep_workload(app: AppKind, opts: &SweepOptions) -> Workload {
     kernel(app, opts.scale.into(), opts.threads, opts.seed)
 }
 
+/// One app's planned injection campaign: what its dry run counted and
+/// the targets it drew. The in-process sweep and the sharded sweep's
+/// `plan.json` both hold campaigns as this type.
+#[derive(Debug, Clone)]
+pub struct PlannedApp {
+    /// Application name.
+    pub app: String,
+    /// Removable acquire-site instances counted by the dry run.
+    pub acquires: u64,
+    /// Removable release-site instances counted by the dry run.
+    pub releases: u64,
+    /// The dry-run failure, if planning failed (no targets then).
+    pub dry_run_error: Option<String>,
+    /// The drawn injection targets, in run order.
+    pub targets: Vec<InjectionTarget>,
+}
+
+impl PlannedApp {
+    /// A campaign whose planning failed: no instances, no targets.
+    fn failed(app: &str, error: String) -> PlannedApp {
+        PlannedApp {
+            app: app.to_string(),
+            acquires: 0,
+            releases: 0,
+            dry_run_error: Some(error),
+            targets: Vec::new(),
+        }
+    }
+
+    /// The app's sweep, given its runs in target order.
+    pub fn sweep(&self, runs: Vec<RunRecord>) -> AppSweep {
+        AppSweep {
+            app: self.app.clone(),
+            acquire_instances: self.acquires,
+            release_instances: self.releases,
+            dry_run_error: self.dry_run_error.clone(),
+            runs,
+        }
+    }
+}
+
 /// Plans an app's injection campaign: the watchdogged dry run that
 /// counts removable instances and draws the target set. The dry run
 /// executes on the paper machine, watchdogged like every other run in
 /// the sweep. Errors are rendered to strings (they become the
 /// [`AppSweep::dry_run_error`]).
-pub(crate) fn plan_campaign(
-    workload: &Workload,
-    app: AppKind,
-    opts: &SweepOptions,
-) -> Result<Campaign, String> {
+fn plan_campaign(workload: &Workload, app: AppKind, opts: &SweepOptions) -> PlannedApp {
     let dry_machine = opts.machine_for(DetectorConfig::Cord { d: 16 });
     let campaign_seed = opts.seed ^ app as u64;
     let campaign = if opts.include_releases {
@@ -685,7 +689,63 @@ pub(crate) fn plan_campaign(
             campaign_seed,
         )
     };
-    campaign.map_err(|e| e.to_string())
+    match campaign {
+        Ok(c) => PlannedApp {
+            app: workload.name().to_string(),
+            acquires: c.counts.acquires,
+            releases: c.counts.releases,
+            dry_run_error: None,
+            targets: c.targets,
+        },
+        Err(e) => PlannedApp::failed(workload.name(), e.to_string()),
+    }
+}
+
+/// The (app index, run index, target) cells of planned campaigns, in
+/// global index order: the sweep's run matrix, and the unit a sharded
+/// sweep partitions.
+pub(crate) fn run_matrix<'a>(
+    apps: impl IntoIterator<Item = &'a PlannedApp>,
+) -> Vec<(usize, usize, InjectionTarget)> {
+    apps.into_iter()
+        .enumerate()
+        .flat_map(|(ai, app)| {
+            app.targets
+                .iter()
+                .enumerate()
+                .map(move |(ri, &target)| (ai, ri, target))
+        })
+        .collect()
+}
+
+/// Builds each app's sweep workload and plans its campaign, one dry run
+/// per app fanned across `pool`, with `progress` called as each plan
+/// lands. A panic while planning is an app-level failure, recorded the
+/// same way as a failed dry run. Planning is deterministic, so every
+/// caller that plans the same apps draws the same targets.
+pub(crate) fn plan_apps(
+    apps: &[AppKind],
+    opts: &SweepOptions,
+    pool: &Pool,
+    progress: impl Fn(&BatchProgress) + Sync,
+) -> (Vec<Workload>, Vec<PlannedApp>) {
+    let workloads: Vec<Workload> = apps.iter().map(|&a| sweep_workload(a, opts)).collect();
+    let jobs: Vec<_> = apps
+        .iter()
+        .zip(&workloads)
+        .map(|(&app, workload)| move || plan_campaign(workload, app, opts))
+        .collect();
+    let planned = pool
+        .run_ordered_with(jobs, progress)
+        .into_iter()
+        .zip(&workloads)
+        .map(|(outcome, workload)| {
+            outcome.unwrap_or_else(|p| {
+                PlannedApp::failed(workload.name(), format!("campaign planning panicked: {p}"))
+            })
+        })
+        .collect();
+    (workloads, planned)
 }
 
 // ---------------------------------------------------------------------
@@ -810,14 +870,14 @@ impl FromJson for RunStatus {
     }
 }
 
-pub(crate) fn target_to_json(t: &InjectionTarget) -> Json {
+fn target_to_json(t: &InjectionTarget) -> Json {
     obj(vec![
         ("kind", Json::Str(t.kind().to_string())),
         ("instance", t.instance().to_json()),
     ])
 }
 
-pub(crate) fn target_from_json(v: &Json) -> Result<InjectionTarget, JsonError> {
+fn target_from_json(v: &Json) -> Result<InjectionTarget, JsonError> {
     let n = u64::from_json(v.field("instance")?)?;
     match v.field("kind")?.as_str()? {
         "acquire" => Ok(InjectionTarget::Acquire(n)),
@@ -860,6 +920,38 @@ impl FromJson for RunRecord {
             detail: Option::<String>::from_json(v.field("detail")?)?,
             ideal,
             detections,
+        })
+    }
+}
+
+impl ToJson for PlannedApp {
+    fn to_json(&self) -> Json {
+        obj(vec![
+            ("app", self.app.to_json()),
+            ("acquires", self.acquires.to_json()),
+            ("releases", self.releases.to_json()),
+            ("dry_run_error", self.dry_run_error.to_json()),
+            (
+                "targets",
+                Json::Array(self.targets.iter().map(target_to_json).collect()),
+            ),
+        ])
+    }
+}
+
+impl FromJson for PlannedApp {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Ok(PlannedApp {
+            app: String::from_json(v.field("app")?)?,
+            acquires: u64::from_json(v.field("acquires")?)?,
+            releases: u64::from_json(v.field("releases")?)?,
+            dry_run_error: Option::<String>::from_json(v.field("dry_run_error")?)?,
+            targets: v
+                .field("targets")?
+                .as_array()?
+                .iter()
+                .map(target_from_json)
+                .collect::<Result<_, _>>()?,
         })
     }
 }
@@ -925,10 +1017,15 @@ mod tests {
         SweepRunner::new(quick_opts())
     }
 
+    fn sweep_app(app: AppKind, configs: &[DetectorConfig]) -> AppSweep {
+        let results = runner().apps(&[app]).run(configs).expect("no checkpoint");
+        results.apps.into_iter().next().expect("one app")
+    }
+
     #[test]
     fn sweep_one_app_produces_records() {
         let configs = [DetectorConfig::Cord { d: 16 }];
-        let s = runner().run_app(AppKind::WaterN2, &configs);
+        let s = sweep_app(AppKind::WaterN2, &configs);
         assert_eq!(s.app, "water-n2");
         assert_eq!(s.runs.len(), 4);
         assert!(s.acquire_instances > 0);
@@ -942,7 +1039,7 @@ mod tests {
     #[test]
     fn rates_are_well_defined() {
         let configs = [DetectorConfig::Cord { d: 16 }, DetectorConfig::VcL2Cache];
-        let s = runner().run_app(AppKind::Cholesky, &configs);
+        let s = sweep_app(AppKind::Cholesky, &configs);
         let m = s.manifestation_rate();
         assert!((0.0..=1.0).contains(&m));
         if s.manifested().count() > 0 {
@@ -974,7 +1071,7 @@ mod tests {
         // the value equals the manifestation verdict (one simulation,
         // reused).
         let configs = [DetectorConfig::Ideal, DetectorConfig::Cord { d: 16 }];
-        let s = runner().run_app(AppKind::Lu, &configs);
+        let s = sweep_app(AppKind::Lu, &configs);
         for r in &s.runs {
             assert_eq!(r.detections.get("Ideal").copied(), r.ideal);
         }
@@ -1016,7 +1113,7 @@ mod tests {
         let configs = [DetectorConfig::Cord { d: 16 }];
         let s = SweepResults {
             options: quick_opts(),
-            apps: vec![runner().run_app(AppKind::Lu, &configs)],
+            apps: vec![sweep_app(AppKind::Lu, &configs)],
         };
         let json = s.to_json().to_string_pretty();
         let back = SweepResults::from_json(&Json::parse(&json).expect("parses")).expect("decodes");

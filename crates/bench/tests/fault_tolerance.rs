@@ -123,10 +123,11 @@ fn blocking_sweep_records_deadlocks_and_still_completes() {
 fn recorded_failures_are_deterministic() {
     let opts = probe_opts(None);
     let configs = [DetectorConfig::Cord { d: 16 }];
-    let runner = SweepRunner::new(opts);
     let mut checked = 0;
     for app in all_apps() {
-        let sweep = runner.run_app(app, &configs);
+        let runner = SweepRunner::new(opts).apps(&[app]);
+        let results = runner.run(&configs).expect("no checkpoint");
+        let sweep = &results.apps[0];
         for (i, r) in sweep.runs.iter().enumerate() {
             if r.status.is_completed() {
                 continue;

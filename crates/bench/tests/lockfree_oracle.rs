@@ -1,9 +1,13 @@
 //! Acceptance battery for the lock-free workload family: every kernel
 //! is race-free by construction under the full differential oracle on
 //! both coherence backends, and §3.4-style injection produces at least
-//! one ground-truth race that CORD itself reports.
+//! one ground-truth race that CORD itself reports. The lock-free table
+//! takes its ground truth from an Ideal follower on a CORD-led fan-out;
+//! this battery pins that verdict to the reference happens-before
+//! recorder on every injected run.
 
-use cord_core::{CordConfig, CordDetector};
+use cord_bench::DetectorConfig;
+use cord_core::{CordConfig, CordDetector, DetectorSink, FanOutObserver, ObsCtx, SinkObserver};
 use cord_fuzz::oracle::{check_workload, OracleOptions};
 use cord_fuzz::truthhb::{racy_words, Tandem};
 use cord_inject::count_instances;
@@ -72,11 +76,38 @@ fn every_injected_lockfree_app_yields_a_cord_reported_race() {
                     7,
                     InjectionPlan::remove_nth(n),
                 );
-                let Ok((_, tandem)) = m.run() else {
+                let reference = m.run();
+                // The lock-free table's run: CORD-D16 leads, Ideal follows.
+                let members = [DetectorConfig::Cord { d: 16 }, DetectorConfig::Ideal].map(|c| {
+                    SinkObserver::new(c.build_sink(threads, cfg.cores, 7, ObsCtx::disabled()))
+                });
+                let fan = FanOutObserver::new(members.into());
+                let led = Machine::new(cfg.clone(), &w, fan, 7, InjectionPlan::remove_nth(n)).run();
+                assert_eq!(
+                    reference.is_ok(),
+                    led.is_ok(),
+                    "{} on {backend:?}, removal {n}: the fan-out changed how the run ended",
+                    app.name()
+                );
+                let (Ok((_, tandem)), Ok((_, fan))) = (reference, led) else {
                     // Removing synchronization may deadlock; tolerated.
                     continue;
                 };
                 let truth = racy_words(&tandem.rec.events, threads, &BTreeSet::new());
+                let members = fan.into_members();
+                let (cord, ideal) = (members[0].sink(), members[1].sink());
+                assert_eq!(
+                    ideal.race_count() > 0,
+                    !truth.is_empty(),
+                    "{} on {backend:?}, removal {n}: the Ideal follower disagrees with the reference",
+                    app.name()
+                );
+                assert_eq!(
+                    cord.race_count(),
+                    tandem.det.races().len() as u64,
+                    "{} on {backend:?}, removal {n}: the leading CORD saw a different run",
+                    app.name()
+                );
                 if truth.is_empty() {
                     continue;
                 }

@@ -23,7 +23,9 @@
 //!   (§2.3).
 //! * [`sink`] — detectors as event-stream sinks ([`DetectorSink`]):
 //!   the ingestion surface shared by inline simulation, capture replay,
-//!   and the `cord-serve` streaming daemon.
+//!   and the `cord-serve` streaming daemon, plus the leader-led
+//!   [`FanOutObserver`] that runs several detectors on one machine run
+//!   (the leader may charge the bus; followers must stay passive).
 //! * [`error`] — the workspace-wide [`CordError`] failure taxonomy.
 //!
 //! # Example

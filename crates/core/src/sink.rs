@@ -20,7 +20,8 @@
 //!   events back to observer callbacks.
 //! * [`CaptureObserver`] — tee: records the event stream while
 //!   forwarding it, without perturbing the inner observer.
-//! * [`FanOutObserver`] — several passive observers on one machine run.
+//! * [`FanOutObserver`] — several observers on one machine run: a
+//!   leader whose outcome reaches the machine, and passive followers.
 
 use cord_json::{obj, FromJson, Json, JsonError, ToJson};
 use cord_obs::{MetricsRegistry, ObserverOutcome, StreamEvent, TraceHandle};
@@ -228,74 +229,105 @@ impl<S: DetectorSink> MemoryObserver for SinkObserver<S> {
     }
 }
 
-/// Several observers on one machine run: each callback goes to every
-/// member, in member order. Only passive members may share a run — a
-/// member that charged the bus would change the interleaving its
-/// siblings see — so the fan-out panics unless every member returns
-/// [`ObserverOutcome::NONE`]. Members are [`SinkObserver`]s (or
+/// Several observers on one machine run, led by the first: each
+/// callback goes to every member, in member order, and the leader's
+/// [`ObserverOutcome`] is what the machine sees. The leader may act
+/// (charge the bus, as CORD does); every follower must be passive — a
+/// follower that charged the bus would change the interleaving its
+/// siblings see — so the fan-out panics unless each follower returns
+/// [`ObserverOutcome::NONE`]. Followers thus observe exactly the run the
+/// leader would have had alone. Members are [`SinkObserver`]s (or
 /// wrappers of them), so the run's end reaches each member's
 /// `on_run_end` and then its sink's [`DetectorSink::flush`].
 #[derive(Debug)]
 pub struct FanOutObserver<O> {
-    members: Vec<O>,
+    leader: O,
+    followers: Vec<O>,
 }
 
 impl<O> FanOutObserver<O> {
-    /// Attaches `members` to one run.
+    /// Attaches `members` to one run; `members[0]` leads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` is empty: a fan-out needs a leader.
     pub fn new(members: Vec<O>) -> Self {
-        FanOutObserver { members }
+        let mut members = members.into_iter();
+        let leader = members.next().expect("a fan-out needs a leader");
+        FanOutObserver {
+            leader,
+            followers: members.collect(),
+        }
     }
 
-    /// Unwraps the members, in order.
+    /// Unwraps the members, in order, leader first.
     pub fn into_members(self) -> Vec<O> {
-        self.members
+        std::iter::once(self.leader).chain(self.followers).collect()
     }
 }
 
-#[inline]
-fn assert_passive(out: ObserverOutcome) {
-    assert_eq!(
-        out,
-        ObserverOutcome::NONE,
-        "a fan-out member charged the bus; only passive observers may share a machine run"
-    );
+impl<O: MemoryObserver> FanOutObserver<O> {
+    /// Hands one callback to every follower. The loop stays out of line
+    /// so that a lone leader's run keeps the leader's own hot path.
+    #[inline]
+    fn follow(&mut self, f: impl FnMut(&mut O) -> ObserverOutcome) {
+        if !self.followers.is_empty() {
+            follow_all(&mut self.followers, f);
+        }
+    }
+}
+
+/// Calls `f` on each follower, asserting that none charges the bus.
+#[inline(never)]
+fn follow_all<O>(followers: &mut [O], mut f: impl FnMut(&mut O) -> ObserverOutcome) {
+    for m in followers {
+        assert_eq!(
+            f(m),
+            ObserverOutcome::NONE,
+            "a fan-out follower charged the bus; only passive observers may follow a machine run"
+        );
+    }
 }
 
 impl<O: MemoryObserver> MemoryObserver for FanOutObserver<O> {
     #[inline]
     fn on_access(&mut self, ev: &AccessEvent) -> ObserverOutcome {
-        for m in &mut self.members {
-            assert_passive(m.on_access(ev));
-        }
-        ObserverOutcome::NONE
+        let out = self.leader.on_access(ev);
+        self.follow(|m| m.on_access(ev));
+        out
     }
 
     #[inline]
     fn on_line_filled(&mut self, core: CoreId, level: Level, line: LineAddr) {
-        for m in &mut self.members {
+        self.leader.on_line_filled(core, level, line);
+        self.follow(|m| {
             m.on_line_filled(core, level, line);
-        }
+            ObserverOutcome::NONE
+        });
     }
 
     #[inline]
     fn on_line_removed(&mut self, removal: &LineRemoval) -> ObserverOutcome {
-        for m in &mut self.members {
-            assert_passive(m.on_line_removed(removal));
-        }
-        ObserverOutcome::NONE
+        let out = self.leader.on_line_removed(removal);
+        self.follow(|m| m.on_line_removed(removal));
+        out
     }
 
     #[inline]
     fn on_thread_migrated(&mut self, thread: ThreadId, from: CoreId, to: CoreId) {
-        for m in &mut self.members {
+        self.leader.on_thread_migrated(thread, from, to);
+        self.follow(|m| {
             m.on_thread_migrated(thread, from, to);
-        }
+            ObserverOutcome::NONE
+        });
     }
 
     fn on_run_end(&mut self, final_instr_counts: &[u64]) {
-        for m in &mut self.members {
+        self.leader.on_run_end(final_instr_counts);
+        self.follow(|m| {
             m.on_run_end(final_instr_counts);
-        }
+            ObserverOutcome::NONE
+        });
     }
 }
 
@@ -634,10 +666,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only passive observers may share a machine run")]
+    #[should_panic(expected = "only passive observers may follow a machine run")]
     fn fan_out_panics_when_a_member_charges_the_bus() {
         let (mut fan, _log) = fan_out(&[ObserverOutcome::NONE, ObserverOutcome::race_checks(1)]);
         fan.on_access(&access(0x40));
+    }
+
+    #[test]
+    fn fan_out_forwards_the_leaders_outcome() {
+        let charge = ObserverOutcome::race_checks(1);
+        let (mut fan, log) = fan_out(&[charge, ObserverOutcome::NONE]);
+        assert_eq!(fan.on_access(&access(0x40)), charge);
+        assert_eq!(
+            *log.lock().expect("log lock"),
+            [(0, "access"), (1, "access")],
+            "the passive follower still sees the access"
+        );
     }
 
     #[test]

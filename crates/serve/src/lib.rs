@@ -28,7 +28,11 @@
 //!   header's geometry with
 //!   [`ServeError::OutOfGeometry`](crate::ServeError::OutOfGeometry),
 //!   so such a session fails alone instead of indexing out of bounds
-//!   in the worker;
+//!   in the worker. Before any of that, a header declaring zero threads
+//!   or cores, or more than [`MAX_STREAM_THREADS`] /
+//!   [`MAX_STREAM_CORES`], is refused with
+//!   [`ServeError::HeaderGeometry`](crate::ServeError::HeaderGeometry),
+//!   so no sink is sized from it;
 //! * a **worker** thread owns the detector sink and ingests batches in
 //!   order. Detection itself is sequential — CORD's thread clocks are
 //!   global state, which is the paper's whole point. Ingest latency is
@@ -49,4 +53,4 @@ pub mod server;
 
 pub use client::ServeClient;
 pub use protocol::{Query, ServeError, FRAME_QUERY, FRAME_RESPONSE};
-pub use server::{Daemon, DaemonConfig};
+pub use server::{Daemon, DaemonConfig, MAX_STREAM_CORES, MAX_STREAM_THREADS};

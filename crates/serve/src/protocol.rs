@@ -146,6 +146,16 @@ pub enum ServeError {
     /// An event arrived after the stream's `RunEnd`, which must come
     /// last (a second `RunEnd` included).
     EventAfterRunEnd,
+    /// The stream header declares no threads or cores, or more than the
+    /// daemon builds a detector for.
+    HeaderGeometry {
+        /// `"threads"` or `"cores"`.
+        field: &'static str,
+        /// The count the header declared.
+        count: u32,
+        /// The largest count accepted; the smallest is 1.
+        max: u32,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -165,6 +175,10 @@ impl fmt::Display for ServeError {
                 "event names {field} {index}, but the stream header declares {limit}"
             ),
             ServeError::EventAfterRunEnd => write!(f, "event after the stream's run end"),
+            ServeError::HeaderGeometry { field, count, max } => write!(
+                f,
+                "stream header declares {count} {field}; the daemon accepts 1 to {max}"
+            ),
         }
     }
 }

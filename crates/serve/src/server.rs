@@ -25,6 +25,20 @@ use std::time::Instant;
 /// clock read, which would otherwise cost about as much as the ingest.
 const INGEST_SAMPLE_STRIDE: u64 = 64;
 
+/// The most threads a stream header may declare. Detectors size their
+/// per-thread state from the header before the first event arrives, and
+/// the vector-clock sinks allocate `threads × (threads + cores)` clock
+/// components up front, so the count must be bounded before a sink is
+/// built. The largest producers in this repository run 34 threads (the
+/// fuzzer's wide mode, `cores + 2` on 32 cores) and 32 (`figures
+/// scaling`); 256 leaves room for wider machines, matches the core
+/// limit, and keeps a sink's up-front clocks near a megabyte.
+pub const MAX_STREAM_THREADS: u32 = 256;
+
+/// The most cores a stream header may declare: `CoreId` is a `u8`, the
+/// same limit `MachineConfig::validate` enforces.
+pub const MAX_STREAM_CORES: u32 = 256;
+
 /// How a daemon runs: where it listens, how it snapshots, and how much
 /// in-flight work it tolerates.
 #[derive(Debug, Clone)]
@@ -186,6 +200,7 @@ fn stream_session(
     let config = DetectorConfig::from_label(&header.detector).ok_or_else(|| {
         ServeError::Protocol(format!("unknown detector label `{}`", header.detector))
     })?;
+    check_header_geometry(&header.geometry)?;
     {
         let mut st = lock_unpoisoned(&shared.state);
         st.sessions_started += 1;
@@ -312,6 +327,24 @@ fn session_worker(
     }
     let mut st = lock_unpoisoned(&shared.state);
     st.sessions_completed += 1;
+}
+
+/// Rejects a header whose thread or core count is zero or above
+/// [`MAX_STREAM_THREADS`] / [`MAX_STREAM_CORES`], before the session
+/// counts as started or a sink is sized from it.
+fn check_header_geometry(geometry: &StreamGeometry) -> Result<(), ServeError> {
+    let bounded = |field, count: u32, max: u32| {
+        if (1..=max).contains(&count) {
+            Ok(())
+        } else {
+            Err(ServeError::HeaderGeometry { field, count, max })
+        }
+    };
+    bounded("threads", geometry.threads, MAX_STREAM_THREADS).and(bounded(
+        "cores",
+        geometry.cores,
+        MAX_STREAM_CORES,
+    ))
 }
 
 /// Rejects an event whose thread or core is at or past the header's

@@ -6,7 +6,7 @@ use cord_core::{DetectorSink, ObsCtx};
 use cord_detectors::DetectorConfig;
 use cord_obs::wire;
 use cord_obs::{AccessEvent, AccessKind, AccessPath, CoreId, Level, StreamEvent, StreamHeader};
-use cord_serve::{Daemon, DaemonConfig, Query, ServeClient};
+use cord_serve::{Daemon, DaemonConfig, Query, ServeClient, MAX_STREAM_CORES, MAX_STREAM_THREADS};
 use cord_trace::layout::AddressLayout;
 use cord_trace::types::{Addr, ThreadId, WORD_BYTES};
 use std::path::PathBuf;
@@ -388,6 +388,65 @@ fn malformed_run_end_fails_only_its_session() {
         .expect("good session after bad ones");
     assert_eq!(via_daemon, inline_bytes(config, &good));
     assert_eq!(status_counts(), (4, 4));
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn header_geometry_past_the_caps_fails_only_its_session() {
+    let dir = tmpdir("header-caps");
+    let socket = dir.join("serve.sock");
+    let daemon = Daemon::new(DaemonConfig {
+        socket: socket.clone(),
+        snapshot: None,
+        ..DaemonConfig::default()
+    });
+    let handle = std::thread::spawn(move || daemon.run());
+    let client = ServeClient::new(&socket);
+    assert!(client.wait_ready(250), "daemon came up");
+
+    // One past each cap, and an empty machine: each header is refused
+    // before a sink is sized from it, so no session starts.
+    let label = "CORD-D16";
+    let events = racy_events();
+    let mut too_many_threads = header(label);
+    too_many_threads.geometry.threads = MAX_STREAM_THREADS + 1;
+    let mut too_many_cores = header(label);
+    too_many_cores.geometry.cores = MAX_STREAM_CORES + 1;
+    let mut no_threads = header(label);
+    no_threads.geometry.threads = 0;
+    let mut no_cores = header(label);
+    no_cores.geometry.cores = 0;
+    for (case, bad) in [
+        ("threads past the cap", &too_many_threads),
+        ("cores past the cap", &too_many_cores),
+        ("zero threads", &no_threads),
+        ("zero cores", &no_cores),
+    ] {
+        assert!(
+            client.replay_events(bad, &events).is_err(),
+            "{case}: the header must not produce a report"
+        );
+    }
+    let status = client
+        .query(Query::Status)
+        .expect("status after bad headers");
+    let started: u64 = cord_json::FromJson::from_json(
+        status
+            .field("sessions_started")
+            .expect("sessions_started field"),
+    )
+    .expect("uint");
+    assert_eq!(started, 0, "rejected headers start no session");
+
+    // A following good session replays byte-identically.
+    let config = DetectorConfig::from_label(label).expect("known label");
+    let via_daemon = client
+        .replay_events(&header(label), &events)
+        .expect("good session after bad headers");
+    assert_eq!(via_daemon, inline_bytes(config, &events));
 
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon thread").expect("daemon exit");
