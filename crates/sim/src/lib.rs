@@ -25,6 +25,9 @@
 //! * [`truth`] — ground-truth functional outcomes for replay
 //!   verification.
 //! * [`stats`] — run statistics.
+//! * [`shared`] — several observers on one machine while their bus
+//!   charges agree ([`Machine::run_cells`](engine::Machine::run_cells)),
+//!   forking from a checkpoint where they differ.
 //!
 //! # Example
 //!
@@ -66,6 +69,7 @@ pub mod memsys;
 pub mod migrate;
 pub mod observer;
 pub mod sched;
+pub mod shared;
 pub mod stats;
 pub mod sync;
 pub mod syncexp;
@@ -77,5 +81,6 @@ pub use observer::{
     AccessEvent, AccessKind, AccessPath, CoreId, Level, LineRemoval, MemoryObserver, NullObserver,
     ObserverOutcome, RemovalCause,
 };
+pub use shared::SharedRun;
 pub use stats::SimStats;
 pub use truth::{ResolvedAccess, TruthSummary};

@@ -52,7 +52,7 @@ pub struct AccessResult {
 }
 
 /// The memory hierarchy of the whole machine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MemorySystem {
     cfg: MachineConfig,
     /// Shared buses (public so the engine can charge observer-issued

@@ -23,7 +23,7 @@ use std::collections::BinaryHeap;
 /// thread is still Ready, still holds a core, and its `ready_at` still
 /// equals the snapshotted key. Anything else is a leftover from an
 /// earlier transition and is dropped on pop.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ReadyQueue {
     heap: BinaryHeap<Reverse<(u64, usize)>>,
 }
