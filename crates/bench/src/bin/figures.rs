@@ -254,7 +254,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     if cmd == "ablations" || cmd == "all" {
         println!(
             "{}",
-            figures::ablations(ScaleClass::Tiny, args.seed, args.injections.min(10))?
+            figures::ablations(scale, args.seed, args.injections.min(10))?
         );
     }
     if cmd == "cachestats" || cmd == "all" {
@@ -270,7 +270,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!("{}", figures::record_only_cost(scale, args.seed)?);
     }
     if cmd == "lockfree" || cmd == "all" {
-        println!("{}", figures::lockfree_family(ScaleClass::Tiny, args.seed)?);
+        println!("{}", figures::lockfree_family(scale, args.seed)?);
     }
     if cmd == "cachesweep" {
         println!(
