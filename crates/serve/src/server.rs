@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 /// Ingest-latency sampling stride: a session's first `Access` and every
@@ -137,6 +137,7 @@ impl Daemon {
                 Ok(s) => s,
                 Err(_) => continue,
             };
+            reap_finished(&mut sessions);
             let shared = Arc::clone(&self.shared);
             sessions.push(thread::spawn(move || {
                 // A failed session must not take the daemon down; the
@@ -157,6 +158,15 @@ impl Daemon {
     /// The daemon's socket path.
     pub fn socket(&self) -> &PathBuf {
         &self.shared.cfg.socket
+    }
+}
+
+/// Joins the session threads that have finished, so a long-lived daemon
+/// keeps a handle, and an unjoined thread's resources, only for the
+/// sessions still running.
+fn reap_finished(sessions: &mut Vec<JoinHandle<()>>) {
+    for done in sessions.extract_if(.., |s| s.is_finished()) {
+        let _ = done.join();
     }
 }
 
@@ -492,6 +502,29 @@ mod tests {
     use cord_obs::{AccessEvent, AccessKind, AccessPath};
     use cord_trace::layout::AddressLayout;
     use cord_trace::types::Addr;
+
+    #[test]
+    fn reaping_joins_finished_sessions_and_keeps_running_ones() {
+        let (release, wait) = std::sync::mpsc::channel::<()>();
+        let wait = Arc::new(Mutex::new(wait));
+        let mut sessions: Vec<JoinHandle<()>> = (0..3).map(|_| thread::spawn(|| {})).collect();
+        let running = thread::spawn(move || {
+            let _ = lock_unpoisoned(&wait).recv();
+        });
+        sessions.insert(1, running);
+        while sessions.iter().filter(|s| s.is_finished()).count() < 3 {
+            thread::yield_now();
+        }
+        reap_finished(&mut sessions);
+        assert_eq!(sessions.len(), 1, "only the running session is kept");
+        assert!(!sessions[0].is_finished());
+        release.send(()).expect("the running session waits");
+        while !sessions[0].is_finished() {
+            thread::yield_now();
+        }
+        reap_finished(&mut sessions);
+        assert!(sessions.is_empty());
+    }
 
     #[test]
     fn geometry_check_rejects_the_first_index_past_each_bound() {
