@@ -841,12 +841,17 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 
 /// Reads one length-prefixed frame; `Ok(None)` on clean EOF (no bytes
 /// of the next frame read), an error on mid-frame EOF or an oversize
-/// length prefix.
+/// length prefix. A read interrupted by a signal is retried, in the
+/// prefix as in the payload.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
-        let n = r.read(&mut len_bytes[filled..])?;
+        let n = match r.read(&mut len_bytes[filled..]) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
         if n == 0 {
             if filled == 0 {
                 return Ok(None);
@@ -1035,6 +1040,44 @@ mod tests {
         );
         assert_eq!(read_frame(&mut cur).expect("frame"), Some(Vec::new()));
         assert_eq!(read_frame(&mut cur).expect("eof"), None);
+    }
+
+    /// A reader a signal interrupts before every byte it delivers.
+    struct Interrupting<'a> {
+        bytes: &'a [u8],
+        interrupt: bool,
+    }
+
+    impl Read for Interrupting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let Some((&b, rest)) = self.bytes.split_first() else {
+                return Ok(0);
+            };
+            match buf.first_mut() {
+                Some(slot) => *slot = b,
+                None => return Ok(0),
+            }
+            self.bytes = rest;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn frame_reads_retry_interrupted_reads() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"hello").expect("write");
+        write_frame(&mut buf, b"").expect("write");
+        let mut r = Interrupting {
+            bytes: &buf,
+            interrupt: false,
+        };
+        assert_eq!(read_frame(&mut r).expect("frame"), Some(b"hello".to_vec()));
+        assert_eq!(read_frame(&mut r).expect("frame"), Some(Vec::new()));
+        assert_eq!(read_frame(&mut r).expect("eof"), None);
     }
 
     #[test]
