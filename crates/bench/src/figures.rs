@@ -6,7 +6,7 @@ use cord_core::{area, CordConfig, CordDetector, CordError};
 use cord_detectors::DetectorConfig;
 use cord_inject::Campaign;
 use cord_sim::config::MachineConfig;
-use cord_sim::engine::{InjectionPlan, Machine};
+use cord_sim::engine::{InjectionPlan, Machine, SimError};
 use cord_sim::observer::NullObserver;
 use cord_sim::stats::SimStats;
 use cord_trace::program::Workload;
@@ -509,11 +509,30 @@ pub fn ablations(
     for app in apps {
         let w = kernel(app, scale, 4, seed);
         let campaign = Campaign::plan(&machine, &w, injections, seed ^ app as u64)?;
-        let mut vals = Vec::new();
-        for (_, mk) in &variants {
-            let found = runs_detected(&machine, &w, &campaign, &mk(), seed)?;
-            vals.push(Some(found as f64));
+        // The variants differ only in their timestamp-bus charges, so
+        // each plan runs all of them as cells of one shared machine run.
+        // A failure reports the first (variant, run) that fails, as
+        // running each variant over every plan in turn would.
+        let mut found = vec![0u64; variants.len()];
+        let mut failed: Option<((usize, usize), SimError)> = None;
+        for (i, plan) in campaign.plans().enumerate() {
+            let dets = variants
+                .iter()
+                .map(|(_, mk)| CordDetector::new(mk(), w.num_threads(), machine.cores))
+                .collect();
+            let m = Machine::new(machine.clone(), &w, NullObserver, seed + i as u64, plan);
+            m.run_cells(dets, |v, r| match r {
+                Ok((_, det)) => found[v] += u64::from(!det.races().is_empty()),
+                Err(e) if failed.as_ref().is_none_or(|(at, _)| (v, i) < *at) => {
+                    failed = Some(((v, i), e));
+                }
+                Err(_) => {}
+            });
         }
+        if let Some((_, e)) = failed {
+            return Err(e.into());
+        }
+        let vals = found.into_iter().map(|f| Some(f as f64)).collect();
         rows.push((app.name().to_string(), vals));
     }
     Ok(FigureTable {

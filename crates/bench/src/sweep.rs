@@ -447,9 +447,10 @@ pub(crate) fn run_group(
 
 /// Runs several cells — groups of configurations, one [`FanOutObserver`]
 /// each — on one machine through [`Machine::run_cells`], which simulates
-/// them together while their bus charges agree and forks where they
-/// differ, and calls `done(i, result)` as cell `i`'s machine ends. Each
-/// cell sees exactly the run its group would have had alone. The machine
+/// them together while the retirement stalls their bus charges cause
+/// agree and forks where they differ, and calls `done(i, result)` as
+/// cell `i`'s machine ends. Each cell sees exactly the run its group
+/// would have had alone. The machine
 /// is monomorphized over `FanOutObserver<SinkObserver<DetectorEnum>>`:
 /// no virtual dispatch per access, and inline detection exercises the
 /// very ingestion path a capture replay or the daemon uses.

@@ -216,6 +216,15 @@ pub trait MemoryObserver {
         ObserverOutcome::NONE
     }
 
+    /// Asked right after each `on_access` and `on_line_removed`: the
+    /// retirement stall the outcome just returned causes, for an
+    /// observer that keeps its own timestamp-bus accounts. `at` is the
+    /// access's completion cycle. `None`, the default, has the machine
+    /// charge the outcome on its own timestamp bus.
+    fn retirement_stall(&mut self, _at: u64) -> Option<u64> {
+        None
+    }
+
     /// A thread moved to a different core (§2.7.4).
     fn on_thread_migrated(&mut self, _thread: ThreadId, _from: CoreId, _to: CoreId) {}
 

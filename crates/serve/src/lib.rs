@@ -24,13 +24,18 @@
 //!   queue — when the detector falls behind, the queue fills, the
 //!   reader blocks, the socket buffer fills, and the producer stalls:
 //!   end-to-end backpressure with no unbounded buffering. The reader
-//!   also rejects any event whose thread or core is at or past the
-//!   header's geometry with
+//!   also rejects any event whose thread, core or line is at or past
+//!   the header's geometry with
 //!   [`ServeError::OutOfGeometry`](crate::ServeError::OutOfGeometry),
-//!   so such a session fails alone instead of indexing out of bounds
-//!   in the worker. Before any of that, a header declaring zero threads
-//!   or cores, or more than [`MAX_STREAM_THREADS`] /
-//!   [`MAX_STREAM_CORES`], is refused with
+//!   and any access or `RunEnd` that does not take its thread's
+//!   instruction index past its last access with
+//!   [`ServeError::InstrOrder`](crate::ServeError::InstrOrder), so such
+//!   a session fails alone instead of indexing out of bounds, growing
+//!   its shadow state without bound or panicking in the worker. Before
+//!   any of that, a header declaring zero threads or cores, or more
+//!   than [`MAX_STREAM_THREADS`] / [`MAX_STREAM_CORES`] /
+//!   [`MAX_STREAM_DATA_WORDS`] / [`MAX_STREAM_SYNC_OBJECTS`], is refused
+//!   with
 //!   [`ServeError::HeaderGeometry`](crate::ServeError::HeaderGeometry),
 //!   so no sink is sized from it;
 //! * a **worker** thread owns the detector sink and ingests batches in
@@ -53,4 +58,7 @@ pub mod server;
 
 pub use client::ServeClient;
 pub use protocol::{Query, ServeError, FRAME_QUERY, FRAME_RESPONSE};
-pub use server::{Daemon, DaemonConfig, MAX_STREAM_CORES, MAX_STREAM_THREADS};
+pub use server::{
+    Daemon, DaemonConfig, MAX_STREAM_CORES, MAX_STREAM_DATA_WORDS, MAX_STREAM_SYNC_OBJECTS,
+    MAX_STREAM_THREADS,
+};

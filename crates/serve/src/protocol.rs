@@ -133,28 +133,43 @@ pub enum ServeError {
     },
     /// The peer violated the session protocol.
     Protocol(String),
-    /// An event names a thread or core at or past the stream header's
-    /// geometry.
+    /// An event names a thread, core or line at or past the stream
+    /// header's geometry.
     OutOfGeometry {
-        /// `"thread"` or `"core"`.
+        /// `"thread"`, `"core"` or `"line"` (a dense line index).
         field: &'static str,
         /// The index the event named.
         index: u64,
         /// The header's count; valid indices are below it.
-        limit: u32,
+        limit: u64,
+    },
+    /// An access's instruction index, or a `RunEnd`'s instruction
+    /// count, is not above the index of its thread's last access.
+    InstrOrder {
+        /// The thread.
+        thread: u16,
+        /// The index or count the event gave.
+        index: u64,
+        /// The instruction index of the thread's last access.
+        last: u64,
     },
     /// An event arrived after the stream's `RunEnd`, which must come
     /// last (a second `RunEnd` included).
     EventAfterRunEnd,
-    /// The stream header declares no threads or cores, or more than the
-    /// daemon builds a detector for.
+    /// The stream header declares no threads or cores, or more threads,
+    /// cores, heap words or synchronization objects than the daemon
+    /// builds a detector for.
     HeaderGeometry {
-        /// `"threads"` or `"cores"`.
+        /// The header field: `"threads"`, `"cores"`, `"data_words"`,
+        /// `"user_locks"`, `"user_flags"`, `"barriers"` or
+        /// `"user_atomics"`.
         field: &'static str,
         /// The count the header declared.
-        count: u32,
-        /// The largest count accepted; the smallest is 1.
-        max: u32,
+        count: u64,
+        /// The smallest count accepted.
+        min: u64,
+        /// The largest count accepted.
+        max: u64,
     },
 }
 
@@ -174,10 +189,24 @@ impl fmt::Display for ServeError {
                 f,
                 "event names {field} {index}, but the stream header declares {limit}"
             ),
-            ServeError::EventAfterRunEnd => write!(f, "event after the stream's run end"),
-            ServeError::HeaderGeometry { field, count, max } => write!(
+            ServeError::InstrOrder {
+                thread,
+                index,
+                last,
+            } => write!(
                 f,
-                "stream header declares {count} {field}; the daemon accepts 1 to {max}"
+                "event gives thread {thread} instruction {index}, \
+                 not above its last access's {last}"
+            ),
+            ServeError::EventAfterRunEnd => write!(f, "event after the stream's run end"),
+            ServeError::HeaderGeometry {
+                field,
+                count,
+                min,
+                max,
+            } => write!(
+                f,
+                "stream header declares {count} {field}; the daemon accepts {min} to {max}"
             ),
         }
     }

@@ -9,7 +9,8 @@ use cord_obs::wire::StreamGeometry;
 use cord_obs::wire::{decode_events, read_frame, write_frame, FRAME_EVENTS, FRAME_HEADER};
 use cord_obs::{CoreId, Histogram, MetricsRegistry, StreamEvent, StreamHeader};
 use cord_pool::lock_unpoisoned;
-use cord_trace::types::ThreadId;
+use cord_trace::layout::dense_line_index;
+use cord_trace::types::{LineAddr, ThreadId};
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -38,6 +39,22 @@ pub const MAX_STREAM_THREADS: u32 = 256;
 /// The most cores a stream header may declare: `CoreId` is a `u8`, the
 /// same limit `MachineConfig::validate` enforces.
 pub const MAX_STREAM_CORES: u32 = 256;
+
+/// The largest data heap, in words, a stream header may declare. A
+/// session's shadow state grows to the dense index of the highest line
+/// an event names, and the reader bounds those lines by the header's
+/// address layout, so the layout itself must be bounded. The largest
+/// producers in this repository declare 143,361 words; 2^20 words (4
+/// MiB of simulated heap) leaves room for larger inputs and keeps a
+/// session's dense line space near 128 Ki lines.
+pub const MAX_STREAM_DATA_WORDS: u64 = 1 << 20;
+
+/// The most locks, flags, barriers or atomic words a stream header may
+/// declare, each; bounded for the same reason as
+/// [`MAX_STREAM_DATA_WORDS`]. The largest producer in this repository
+/// declares 514 atomic words (the Michael–Scott queue at Paper scale on
+/// 32 threads), and none declares more than 48 of any other kind.
+pub const MAX_STREAM_SYNC_OBJECTS: u32 = 1 << 12;
 
 /// How a daemon runs: where it listens, how it snapshots, and how much
 /// in-flight work it tolerates.
@@ -228,19 +245,13 @@ fn stream_session(
 
     let mut writer = BufWriter::new(stream);
     let result = (|| -> Result<(), ServeError> {
-        // `RunEnd` closes the detector's order log, so it must be the
-        // stream's last event.
-        let mut run_ended = false;
+        let mut check = EventCheck::new(&header.geometry);
         while let Some(payload) = read_frame(&mut reader)? {
             match payload.split_first() {
                 Some((&FRAME_EVENTS, body)) => {
                     let events = decode_events(body)?;
                     for ev in &events {
-                        if run_ended {
-                            return Err(ServeError::EventAfterRunEnd);
-                        }
-                        check_geometry(ev, &header.geometry)?;
-                        run_ended = matches!(ev, StreamEvent::RunEnd { .. });
+                        check.check(ev)?;
                     }
                     // A full queue blocks here — backpressure all the
                     // way to the producer's socket writes.
@@ -340,57 +351,170 @@ fn session_worker(
 }
 
 /// Rejects a header whose thread or core count is zero or above
-/// [`MAX_STREAM_THREADS`] / [`MAX_STREAM_CORES`], before the session
-/// counts as started or a sink is sized from it.
-fn check_header_geometry(geometry: &StreamGeometry) -> Result<(), ServeError> {
-    let bounded = |field, count: u32, max: u32| {
-        if (1..=max).contains(&count) {
+/// [`MAX_STREAM_THREADS`] / [`MAX_STREAM_CORES`], or whose address
+/// layout is above [`MAX_STREAM_DATA_WORDS`] /
+/// [`MAX_STREAM_SYNC_OBJECTS`], before the session counts as started or
+/// a sink is sized from it.
+fn check_header_geometry(g: &StreamGeometry) -> Result<(), ServeError> {
+    let bounded = |field, count: u64, min: u64, max: u64| {
+        if (min..=max).contains(&count) {
             Ok(())
         } else {
-            Err(ServeError::HeaderGeometry { field, count, max })
-        }
-    };
-    bounded("threads", geometry.threads, MAX_STREAM_THREADS).and(bounded(
-        "cores",
-        geometry.cores,
-        MAX_STREAM_CORES,
-    ))
-}
-
-/// Rejects an event whose thread or core is at or past the header's
-/// geometry — a `RunEnd`'s instruction counts name threads `0..len`.
-/// Detectors size their per-thread and per-core state from the header,
-/// so such an event would index out of bounds and kill the session
-/// worker; checked on the reader thread, it fails only its own session,
-/// with a typed error.
-fn check_geometry(ev: &StreamEvent, geometry: &StreamGeometry) -> Result<(), ServeError> {
-    let within = |field, index: u64, limit: u32| {
-        if index < u64::from(limit) {
-            Ok(())
-        } else {
-            Err(ServeError::OutOfGeometry {
+            Err(ServeError::HeaderGeometry {
                 field,
-                index,
-                limit,
+                count,
+                min,
+                max,
             })
         }
     };
-    let thread = |t: ThreadId| within("thread", u64::from(t.0), geometry.threads);
-    let core = |c: CoreId| within("core", u64::from(c.0), geometry.cores);
-    match ev {
-        StreamEvent::Access(a) => thread(a.thread).and(core(a.core)),
-        StreamEvent::LineFilled { core: c, .. } => core(*c),
-        StreamEvent::LineRemoved(r) => core(r.core),
-        StreamEvent::ThreadMigrated {
-            thread: t,
-            from,
-            to,
-        } => thread(*t).and(core(*from)).and(core(*to)),
-        StreamEvent::RunEnd { instr_counts } => match instr_counts.len().checked_sub(1) {
-            Some(last) => within("thread", last as u64, geometry.threads),
-            None => Ok(()),
-        },
-        StreamEvent::Trace(_) => Ok(()),
+    let sync = |field, count: u32| bounded(field, count.into(), 0, MAX_STREAM_SYNC_OBJECTS.into());
+    bounded("threads", g.threads.into(), 1, MAX_STREAM_THREADS.into())
+        .and(bounded("cores", g.cores.into(), 1, MAX_STREAM_CORES.into()))
+        .and(bounded(
+            "data_words",
+            g.data_words,
+            0,
+            MAX_STREAM_DATA_WORDS,
+        ))
+        .and(sync("user_locks", g.user_locks))
+        .and(sync("user_flags", g.user_flags))
+        .and(sync("barriers", g.barriers))
+        .and(sync("user_atomics", g.user_atomics))
+}
+
+/// What the reader thread checks of each event before the session
+/// worker ingests it. Detectors size their per-thread and per-core
+/// state from the header, grow their shadow state to the highest line
+/// an event names, and assert in CORD's order log that each thread's
+/// instruction indices advance. An event outside the header's geometry,
+/// or out of order, would index out of bounds, allocate without bound
+/// or panic in the worker; checked here, it fails only its own session,
+/// with a typed error.
+struct EventCheck {
+    threads: u32,
+    cores: u32,
+    /// One past the largest dense line index the header's layout
+    /// produces.
+    lines: u64,
+    /// Per thread, one past the instruction index of its last access:
+    /// the least index its next access, or its `RunEnd` count, may give.
+    next_instr: Vec<u64>,
+    /// `RunEnd` closes the detector's order log, so it must come last.
+    run_ended: bool,
+}
+
+impl EventCheck {
+    fn new(g: &StreamGeometry) -> Self {
+        EventCheck {
+            threads: g.threads,
+            cores: g.cores,
+            lines: g.dense_map().line_capacity() as u64,
+            next_instr: vec![0; g.threads as usize],
+            run_ended: false,
+        }
+    }
+
+    fn check(&mut self, ev: &StreamEvent) -> Result<(), ServeError> {
+        if self.run_ended {
+            return Err(ServeError::EventAfterRunEnd);
+        }
+        let thread = |t: ThreadId| within("thread", t.0.into(), self.threads.into());
+        let core = |c: CoreId| within("core", c.0.into(), self.cores.into());
+        let line = |l: LineAddr| within("line", dense_line(l), self.lines);
+        match ev {
+            StreamEvent::Access(a) => {
+                thread(a.thread)?;
+                core(a.core)?;
+                line(a.addr.line())?;
+                let next = &mut self.next_instr[a.thread.index()];
+                instr_at_least(a.thread, a.instr_index, *next)?;
+                *next = a.instr_index.saturating_add(1);
+            }
+            StreamEvent::LineFilled {
+                core: c, line: l, ..
+            } => {
+                core(*c)?;
+                line(*l)?;
+            }
+            StreamEvent::LineRemoved(r) => {
+                core(r.core)?;
+                line(r.line)?;
+            }
+            StreamEvent::ThreadMigrated {
+                thread: t,
+                from,
+                to,
+            } => {
+                thread(*t)?;
+                core(*from)?;
+                core(*to)?;
+            }
+            // The counts name threads `0..len`. The machine ends each
+            // thread's count one past its last access's index: a sync
+            // write starts the next order-log segment there.
+            StreamEvent::RunEnd { instr_counts } => {
+                if let Some(last) = instr_counts.len().checked_sub(1) {
+                    within("thread", last as u64, self.threads.into())?;
+                }
+                for (t, (&count, &next)) in instr_counts.iter().zip(&self.next_instr).enumerate() {
+                    instr_at_least(ThreadId(t as u16), count, next)?;
+                }
+                self.run_ended = true;
+            }
+            StreamEvent::Trace(_) => {}
+        }
+        Ok(())
+    }
+}
+
+/// Rejects an index at or past `limit` with
+/// [`ServeError::OutOfGeometry`].
+#[inline]
+fn within(field: &'static str, index: u64, limit: u64) -> Result<(), ServeError> {
+    if index < limit {
+        Ok(())
+    } else {
+        Err(out_of_geometry(field, index, limit))
+    }
+}
+
+#[cold]
+fn out_of_geometry(field: &'static str, index: u64, limit: u64) -> ServeError {
+    ServeError::OutOfGeometry {
+        field,
+        index,
+        limit,
+    }
+}
+
+/// The dense index of `line`, saturated for lines no address names,
+/// whose dense index would wrap.
+fn dense_line(line: LineAddr) -> u64 {
+    if line.0 < 1 << 62 {
+        dense_line_index(line) as u64
+    } else {
+        u64::MAX
+    }
+}
+
+/// Rejects an instruction index (or a `RunEnd` count) of `thread` below
+/// `next`, one past the index of its last access.
+#[inline]
+fn instr_at_least(thread: ThreadId, index: u64, next: u64) -> Result<(), ServeError> {
+    if index >= next {
+        Ok(())
+    } else {
+        Err(instr_order(thread, index, next))
+    }
+}
+
+#[cold]
+fn instr_order(thread: ThreadId, index: u64, next: u64) -> ServeError {
+    ServeError::InstrOrder {
+        thread: thread.0,
+        index,
+        last: next - 1,
     }
 }
 
@@ -499,9 +623,9 @@ fn status_doc(shared: &Arc<Shared>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cord_obs::{AccessEvent, AccessKind, AccessPath};
+    use cord_obs::{AccessEvent, AccessKind, AccessPath, Level, LineRemoval, RemovalCause};
     use cord_trace::layout::AddressLayout;
-    use cord_trace::types::Addr;
+    use cord_trace::types::{Addr, LINE_BYTES};
 
     #[test]
     fn reaping_joins_finished_sessions_and_keeps_running_ones() {
@@ -529,20 +653,22 @@ mod tests {
     #[test]
     fn geometry_check_rejects_the_first_index_past_each_bound() {
         let geometry = StreamGeometry::new(2, 4, &AddressLayout::new(2, 2, 1, 64));
-        let access = |thread, core| {
+        let check = |ev: &StreamEvent| EventCheck::new(&geometry).check(ev);
+        let access = |thread, core, addr| {
             StreamEvent::Access(AccessEvent {
                 core: CoreId(core),
                 thread: ThreadId(thread),
-                addr: Addr::new(0),
+                addr,
                 kind: AccessKind::DataRead,
                 path: AccessPath::L1Hit,
                 instr_index: 0,
                 cycle: 0,
             })
         };
-        assert!(check_geometry(&access(1, 3), &geometry).is_ok());
+        let at = |thread, core| access(thread, core, Addr::new(0));
+        assert!(check(&at(1, 3)).is_ok());
         assert!(matches!(
-            check_geometry(&access(2, 0), &geometry),
+            check(&at(2, 0)),
             Err(ServeError::OutOfGeometry {
                 field: "thread",
                 index: 2,
@@ -550,30 +676,94 @@ mod tests {
             })
         ));
         assert!(matches!(
-            check_geometry(&access(0, 4), &geometry),
+            check(&at(0, 4)),
             Err(ServeError::OutOfGeometry {
                 field: "core",
                 index: 4,
                 limit: 4
             })
         ));
+        // 16 dense lines: the data line at dense index 16 is the first
+        // past them, and so is every line whose index would wrap.
+        let lines = geometry.dense_map().line_capacity() as u64;
+        assert_eq!(lines, 16);
+        let line = |l: u64| Addr::new(l * LINE_BYTES);
+        assert!(check(&access(0, 0, line(lines / 2 - 1))).is_ok());
+        assert!(matches!(
+            check(&access(0, 0, line(lines / 2))),
+            Err(ServeError::OutOfGeometry {
+                field: "line",
+                index: 16,
+                limit: 16
+            })
+        ));
+        let removed = StreamEvent::LineRemoved(LineRemoval {
+            core: CoreId(0),
+            level: Level::L2,
+            line: LineAddr(u64::MAX),
+            cause: RemovalCause::Capacity,
+            dirty: false,
+        });
+        assert!(check(&removed).is_err());
         let migrated = StreamEvent::ThreadMigrated {
             thread: ThreadId(1),
             from: CoreId(3),
             to: CoreId(4),
         };
-        assert!(check_geometry(&migrated, &geometry).is_err());
+        assert!(check(&migrated).is_err());
         let run_end = |threads| StreamEvent::RunEnd {
             instr_counts: vec![0; threads],
         };
-        assert!(check_geometry(&run_end(2), &geometry).is_ok());
+        assert!(check(&run_end(2)).is_ok());
         assert!(matches!(
-            check_geometry(&run_end(3), &geometry),
+            check(&run_end(3)),
             Err(ServeError::OutOfGeometry {
                 field: "thread",
                 index: 2,
                 limit: 2
             })
         ));
+    }
+
+    #[test]
+    fn instruction_indices_must_advance_per_thread_and_end_past_the_last() {
+        let geometry = StreamGeometry::new(2, 2, &AddressLayout::new(0, 0, 0, 64));
+        let access = |thread, instr_index| {
+            StreamEvent::Access(AccessEvent {
+                core: CoreId(0),
+                thread: ThreadId(thread),
+                addr: Addr::new(0),
+                kind: AccessKind::DataRead,
+                path: AccessPath::L1Hit,
+                instr_index,
+                cycle: 0,
+            })
+        };
+        let mut check = EventCheck::new(&geometry);
+        // Each thread numbers its own accesses; gaps are allowed.
+        for ev in [access(0, 0), access(1, 5), access(0, 1), access(0, 3)] {
+            assert!(check.check(&ev).is_ok());
+        }
+        assert!(matches!(
+            check.check(&access(0, 3)),
+            Err(ServeError::InstrOrder {
+                thread: 0,
+                index: 3,
+                last: 3
+            })
+        ));
+        assert!(check.check(&access(1, 4)).is_err());
+        let run_end = |counts: &[u64]| StreamEvent::RunEnd {
+            instr_counts: counts.to_vec(),
+        };
+        assert!(matches!(
+            check.check(&run_end(&[4, 5])),
+            Err(ServeError::InstrOrder {
+                thread: 1,
+                index: 5,
+                last: 5
+            })
+        ));
+        assert!(check.check(&run_end(&[4, 6])).is_ok());
     }
 }

@@ -6,9 +6,12 @@ use cord_core::{DetectorSink, ObsCtx};
 use cord_detectors::DetectorConfig;
 use cord_obs::wire;
 use cord_obs::{AccessEvent, AccessKind, AccessPath, CoreId, Level, StreamEvent, StreamHeader};
-use cord_serve::{Daemon, DaemonConfig, Query, ServeClient, MAX_STREAM_CORES, MAX_STREAM_THREADS};
+use cord_serve::{
+    Daemon, DaemonConfig, Query, ServeClient, MAX_STREAM_CORES, MAX_STREAM_DATA_WORDS,
+    MAX_STREAM_SYNC_OBJECTS, MAX_STREAM_THREADS,
+};
 use cord_trace::layout::AddressLayout;
-use cord_trace::types::{Addr, ThreadId, WORD_BYTES};
+use cord_trace::types::{Addr, ThreadId, LINE_BYTES, WORD_BYTES};
 use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -26,8 +29,10 @@ fn racy_events() -> Vec<StreamEvent> {
     let mut events = Vec::new();
     let mut cycle = 0u64;
     let mut retired = [0u64; 2];
+    // Numbered from 0 per thread, as the machine numbers accesses.
     let mut access = |core: u8, thread: u16, addr: Addr, kind: AccessKind, path: AccessPath| {
         cycle += 10;
+        let instr_index = retired[thread as usize];
         retired[thread as usize] += 1;
         StreamEvent::Access(AccessEvent {
             core: CoreId(core),
@@ -35,7 +40,7 @@ fn racy_events() -> Vec<StreamEvent> {
             addr,
             kind,
             path,
-            instr_index: retired[thread as usize],
+            instr_index,
             cycle,
         })
     };
@@ -84,7 +89,9 @@ fn racy_events() -> Vec<StreamEvent> {
 }
 
 /// Two threads on two cores taking turns on one line's words, `n`
-/// accesses in all (every third a write), then `RunEnd`.
+/// accesses in all (every third a write), then `RunEnd`. Each thread's
+/// accesses are numbered from 0, and its count ends one past its last,
+/// as the machine does.
 fn access_run(n: u64) -> Vec<StreamEvent> {
     let line = Addr::new(0).line();
     let mut events: Vec<StreamEvent> = (0..2)
@@ -97,6 +104,7 @@ fn access_run(n: u64) -> Vec<StreamEvent> {
     let mut retired = vec![0u64; 2];
     for i in 0..n {
         let t = (i % 2) as usize;
+        let instr_index = retired[t];
         retired[t] += 1;
         events.push(StreamEvent::Access(AccessEvent {
             core: CoreId(t as u8),
@@ -108,7 +116,7 @@ fn access_run(n: u64) -> Vec<StreamEvent> {
                 AccessKind::DataRead
             },
             path: AccessPath::L2Hit,
-            instr_index: retired[t],
+            instr_index,
             cycle: 10 * (i + 1),
         }));
     }
@@ -288,7 +296,7 @@ fn ingest_latency_samples_every_64th_access() {
 }
 
 #[test]
-fn out_of_geometry_thread_fails_only_its_session() {
+fn out_of_geometry_events_fail_only_their_sessions() {
     let dir = tmpdir("bounds");
     let socket = dir.join("serve.sock");
     let daemon = Daemon::new(DaemonConfig {
@@ -302,26 +310,34 @@ fn out_of_geometry_thread_fails_only_its_session() {
 
     // The header declares two threads; this Access names thread 2.
     let label = "CORD-D16";
-    let threads = header(label).geometry.threads;
-    let mut bad_events = racy_events();
-    if let StreamEvent::Access(a) = &mut bad_events[1] {
-        a.thread = ThreadId(threads as u16);
+    let geometry = header(label).geometry;
+    let mut bad_thread = racy_events();
+    if let StreamEvent::Access(a) = &mut bad_thread[1] {
+        a.thread = ThreadId(geometry.threads as u16);
     }
-    let bad = client.replay_events(&header(label), &bad_events);
-    assert!(
-        bad.is_err(),
-        "an out-of-geometry thread must not produce a report"
-    );
-
-    // The daemon still answers, the bad session ended without a worker
-    // panic, and a following good session replays byte-identically.
-    let status = client
-        .query(Query::Status)
-        .expect("status after bad session");
+    // This Access names the data line just past the header's dense line
+    // space, which a session would otherwise grow its shadow state to.
+    let mut bad_line = racy_events();
+    if let StreamEvent::Access(a) = &mut bad_line[1] {
+        let past = geometry.dense_map().line_capacity() as u64 / 2;
+        a.addr = Addr::new(past * LINE_BYTES);
+    }
     let count = |field: &str| -> u64 {
+        let status = client.query(Query::Status).expect("status");
         cord_json::FromJson::from_json(status.field(field).expect("status field")).expect("uint")
     };
-    assert_eq!(count("sessions_started"), count("sessions_completed"));
+    for (case, bad_events) in [("thread", &bad_thread), ("line", &bad_line)] {
+        let bad = client.replay_events(&header(label), bad_events);
+        assert!(
+            bad.is_err(),
+            "{case}: an out-of-geometry event must not produce a report"
+        );
+        // The daemon still answers, and the bad session ended without a
+        // worker panic.
+        assert_eq!(count("sessions_started"), count("sessions_completed"));
+    }
+
+    // A following good session replays byte-identically.
     let events = racy_events();
     let config = DetectorConfig::from_label(label).expect("known label");
     let via_daemon = client
@@ -360,6 +376,15 @@ fn malformed_run_end_fails_only_its_session() {
     twice.push(good.last().expect("run end").clone());
     let mut after = good.clone();
     after.push(good[0].clone());
+    // And each of these inside the order log: an access that does not
+    // advance its thread's instruction index, and a count that ends a
+    // thread at its last access's index rather than one past it.
+    let mut repeated = good.clone();
+    repeated.insert(4, good[3].clone());
+    let mut short_count = good.clone();
+    if let Some(StreamEvent::RunEnd { instr_counts }) = short_count.last_mut() {
+        instr_counts[1] -= 1;
+    }
 
     let status_counts = || {
         let status = client.query(Query::Status).expect("status");
@@ -373,10 +398,12 @@ fn malformed_run_end_fails_only_its_session() {
         ("extra instruction count", &too_many_counts),
         ("second run end", &twice),
         ("event after run end", &after),
+        ("repeated instruction index", &repeated),
+        ("count at the last index", &short_count),
     ] {
         assert!(
             client.replay_events(&header(label), events).is_err(),
-            "{case}: a malformed run end must not produce a report"
+            "{case}: a malformed stream must not produce a report"
         );
         let (started, completed) = status_counts();
         assert_eq!(started, completed, "{case}: the session worker survived");
@@ -387,7 +414,7 @@ fn malformed_run_end_fails_only_its_session() {
         .replay_events(&header(label), &good)
         .expect("good session after bad ones");
     assert_eq!(via_daemon, inline_bytes(config, &good));
-    assert_eq!(status_counts(), (4, 4));
+    assert_eq!(status_counts(), (6, 6));
 
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon thread").expect("daemon exit");
@@ -419,11 +446,20 @@ fn header_geometry_past_the_caps_fails_only_its_session() {
     no_threads.geometry.threads = 0;
     let mut no_cores = header(label);
     no_cores.geometry.cores = 0;
+    let mut too_many_words = header(label);
+    too_many_words.geometry.data_words = MAX_STREAM_DATA_WORDS + 1;
+    let mut too_many_locks = header(label);
+    too_many_locks.geometry.user_locks = MAX_STREAM_SYNC_OBJECTS + 1;
+    let mut too_many_barriers = header(label);
+    too_many_barriers.geometry.barriers = MAX_STREAM_SYNC_OBJECTS + 1;
     for (case, bad) in [
         ("threads past the cap", &too_many_threads),
         ("cores past the cap", &too_many_cores),
         ("zero threads", &no_threads),
         ("zero cores", &no_cores),
+        ("heap past the cap", &too_many_words),
+        ("locks past the cap", &too_many_locks),
+        ("barriers past the cap", &too_many_barriers),
     ] {
         assert!(
             client.replay_events(bad, &events).is_err(),

@@ -13,6 +13,9 @@
 //!   contention", §2.7.2);
 //! * the off-chip **memory bus** (quad-pumped 64-bit, 200 MHz).
 //!
+//! [`Buses`] holds the coherence side of the address/timestamp bus, and
+//! a [`TsLedger`] its timestamp side: the traffic an observer charges.
+//!
 //! Each bus is a single resource with a `free_at` horizon: a transaction
 //! arriving at `t` starts at `max(t, free_at)`, occupies the bus for its
 //! occupancy, and the difference is recorded as contention. This is the
@@ -20,6 +23,9 @@
 //! (small) execution-time overhead of Figure 11 — e.g. cholesky's
 //! frequent synchronization causes "bursts of timestamp removals and race
 //! check requests", raising address-bus contention.
+
+use crate::observer::ObserverOutcome;
+use crate::stats::SimStats;
 
 /// A single shared bus resource.
 #[derive(Debug, Clone, Default)]
@@ -75,13 +81,6 @@ pub struct Buses {
     pub data: Bus,
     /// On-chip address bus (coherence transactions: misses, upgrades).
     pub addr: Bus,
-    /// On-chip timestamp bus: CORD's race-check requests and
-    /// memory-timestamp update broadcasts ride here (§2.7.2: they "only
-    /// use the less-utilized address and timestamp buses and cause no
-    /// data bus contention"). Demand misses are prioritized onto the
-    /// address bus, so check traffic slows the processor only through
-    /// the retirement-delay mechanism of §3.1.
-    pub ts: Bus,
     /// Off-chip memory bus.
     pub mem: Bus,
 }
@@ -90,6 +89,55 @@ impl Buses {
     /// All buses free at cycle 0.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// The on-chip timestamp bus and what an observer charged on it. CORD's
+/// race-check requests and memory-timestamp update broadcasts ride here
+/// (§2.7.2: they "only use the less-utilized address and timestamp buses
+/// and cause no data bus contention"). Demand misses are prioritized
+/// onto the address bus, so check traffic slows the processor only
+/// through the retirement-delay mechanism of §3.1.
+///
+/// A machine keeps one ledger; the cells of a shared run keep one each
+/// (see [`shared`](crate::shared)), since only the stalls they cause
+/// feed back into the machine.
+#[derive(Debug, Clone, Default)]
+pub struct TsLedger {
+    bus: Bus,
+    transactions: u64,
+    stall_cycles: u64,
+}
+
+impl TsLedger {
+    /// Charges observer-issued transactions on the timestamp bus at
+    /// cycle `at`, each occupying it for `slot` cycles. The processor
+    /// consumes data without waiting for the CORD comparison (§3.1), but
+    /// an instruction whose race check is still in flight when it would
+    /// otherwise retire is delayed — so the core stalls by however far
+    /// the check's completion runs past `at + window`. Posted broadcasts
+    /// (memory-timestamp updates) only occupy the bus. Returns the
+    /// retirement stall.
+    pub fn charge(&mut self, out: ObserverOutcome, at: u64, slot: u64, window: u64) -> u64 {
+        let mut stall = 0;
+        for _ in 0..out.race_check_requests {
+            let done = self.bus.acquire(at, slot) + slot;
+            stall = stall.max(done.saturating_sub(at + window));
+        }
+        for _ in 0..out.posted_transactions {
+            self.bus.acquire(at, slot);
+        }
+        self.transactions += u64::from(out.total());
+        self.stall_cycles += stall;
+        stall
+    }
+
+    /// Writes the timestamp-bus fields of `stats`: `ts_bus_busy`,
+    /// `observer_addr_transactions` and `retirement_stall_cycles`.
+    pub fn write_into(&self, stats: &mut SimStats) {
+        stats.ts_bus_busy = self.bus.busy_cycles();
+        stats.observer_addr_transactions = self.transactions;
+        stats.retirement_stall_cycles = self.stall_cycles;
     }
 }
 

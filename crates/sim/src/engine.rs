@@ -25,6 +25,7 @@
 //! and the timed access path ([`Machine::do_access`] internally), which
 //! charges observer traffic on the timestamp bus.
 
+use crate::bus::TsLedger;
 use crate::config::MachineConfig;
 use crate::memsys::{MemEvent, MemorySystem};
 use crate::observer::{AccessEvent, AccessKind, AccessPath, CoreId, MemoryObserver};
@@ -123,6 +124,8 @@ pub struct Machine<'w, O: MemoryObserver> {
     pub(crate) ready: ReadyQueue,
     pub(crate) truth: GroundTruth,
     pub(crate) stats: SimStats,
+    /// The timestamp bus and what the observer charged on it.
+    pub(crate) ledger: TsLedger,
     rng: SmallRng,
     pub(crate) plan: InjectionPlan,
     pub(crate) next_instance: u64,
@@ -195,6 +198,7 @@ impl<'w, O: MemoryObserver> Machine<'w, O> {
             ctxs,
             truth,
             stats: SimStats::default(),
+            ledger: TsLedger::default(),
             rng: SmallRng::seed_from_u64(seed),
             plan,
             next_instance: 0,
@@ -367,6 +371,7 @@ impl<'w, O: MemoryObserver> Machine<'w, O> {
             ready: self.ready,
             truth: self.truth,
             stats: self.stats,
+            ledger: self.ledger,
             rng: self.rng,
             plan: self.plan,
             next_instance: self.next_instance,
@@ -394,7 +399,7 @@ impl<'w, O: MemoryObserver> Machine<'w, O> {
         self.stats.addr_bus_busy = self.memsys.buses.addr.busy_cycles();
         self.stats.addr_bus_wait = self.memsys.buses.addr.contention_cycles();
         self.stats.mem_bus_busy = self.memsys.buses.mem.busy_cycles();
-        self.stats.ts_bus_busy = self.memsys.buses.ts.busy_cycles();
+        self.ledger.write_into(&mut self.stats);
         let coh = self.memsys.coherence_stats();
         self.stats.directory_lookups = coh.directory_lookups;
         self.stats.directory_forwards = coh.directory_forwards;
@@ -622,29 +627,21 @@ impl<'w, O: MemoryObserver> Machine<'w, O> {
         });
     }
 
-    /// Charges observer-issued transactions on the timestamp bus. The
-    /// processor consumes data without waiting for the CORD comparison
-    /// (§3.1), but an instruction whose race check is still in flight
-    /// when it would otherwise retire is delayed — so the core stalls by
-    /// however far the check's completion runs past the retirement
-    /// window. Posted broadcasts (memory-timestamp updates) only occupy
-    /// the bus. Returns the retirement stall, which the caller adds to
-    /// the core's ready time.
+    /// Charges an observer's outcome on the timestamp bus at `at` (see
+    /// [`TsLedger::charge`]) and returns the retirement stall, which the
+    /// caller adds to the core's ready time. An observer that keeps its
+    /// own ledgers (a shared run's cells) answers the stall itself, and
+    /// the machine's ledger is left alone.
     fn charge_observer(&mut self, out: crate::observer::ObserverOutcome, at: u64) -> u64 {
-        let slot = self.cfg.addr_bus_slot_cycles;
-        let mut stall = 0;
-        for _ in 0..out.race_check_requests {
-            let start = self.memsys.buses.ts.acquire(at, slot);
-            let done = start + slot;
-            let retire_by = at + self.cfg.race_check_retire_window;
-            stall = stall.max(done.saturating_sub(retire_by));
+        match self.observer.retirement_stall(at) {
+            Some(stall) => stall,
+            None => self.ledger.charge(
+                out,
+                at,
+                self.cfg.addr_bus_slot_cycles,
+                self.cfg.race_check_retire_window,
+            ),
         }
-        for _ in 0..out.posted_transactions {
-            self.memsys.buses.ts.acquire(at, slot);
-        }
-        self.stats.observer_addr_transactions += u64::from(out.total());
-        self.stats.retirement_stall_cycles += stall;
-        stall
     }
 }
 

@@ -13,7 +13,8 @@
 //!   paper's snooping bus and a directory-based MESI organization with
 //!   per-home occupancy and forwarding latency.
 //! * [`bus`] — the three shared buses with FIFO arbitration and
-//!   contention accounting (where CORD's overhead comes from).
+//!   contention accounting, and the timestamp-bus ledger of what an
+//!   observer charged (where CORD's overhead comes from).
 //! * [`sync`] — functional lock/flag/barrier semantics.
 //! * [`engine`] — the execution engine's step loop, composing the
 //!   focused kernel layers: [`syncexp`] (sync-op → labeled-access
@@ -25,9 +26,11 @@
 //! * [`truth`] — ground-truth functional outcomes for replay
 //!   verification.
 //! * [`stats`] — run statistics.
-//! * [`shared`] — several observers on one machine while their bus
-//!   charges agree ([`Machine::run_cells`](engine::Machine::run_cells)),
-//!   forking from a checkpoint where they differ.
+//! * [`shared`] — several observers on one machine while the
+//!   retirement stalls their bus charges cause agree
+//!   ([`Machine::run_cells`](engine::Machine::run_cells)), each with
+//!   its own timestamp-bus ledger, forking from a checkpoint where the
+//!   stalls differ.
 //!
 //! # Example
 //!

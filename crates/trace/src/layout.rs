@@ -57,10 +57,10 @@ pub struct DenseLineMap {
 }
 
 impl DenseLineMap {
-    /// Capacity bounds for `layout`. Assumes the data heap is laid out
-    /// from address zero (as the workload builder does); a generator
-    /// using higher data addresses only loses the pre-sizing, not
-    /// correctness — consumers grow on demand past the bound.
+    /// Capacity bounds for `layout`. The data heap is laid out from
+    /// address zero (as the workload builder does), and
+    /// `Workload::validate` rejects a data access past it, so every
+    /// line a valid workload touches is inside the bound.
     pub fn new(layout: &AddressLayout) -> Self {
         let data_lines = layout.data_words().div_ceil(WORDS_PER_LINE);
         let sync_lines = u64::from(layout.total_locks())

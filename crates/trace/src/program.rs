@@ -2,7 +2,7 @@
 
 use crate::layout::AddressLayout;
 use crate::op::Op;
-use crate::types::{Addr, BarrierId, ThreadId};
+use crate::types::{Addr, BarrierId, ThreadId, WORD_BYTES};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -132,6 +132,15 @@ pub enum WorkloadError {
         /// The offending address.
         addr: Addr,
     },
+    /// A data access past the layout's data heap: the layout's
+    /// `DenseLineMap` bounds the lines a valid workload touches, and a
+    /// streaming daemon rejects events past that bound.
+    DataAccessPastHeap {
+        /// The offending thread.
+        thread: ThreadId,
+        /// The offending address.
+        addr: Addr,
+    },
     /// A flag is waited on but never set by any thread (guaranteed
     /// deadlock).
     FlagNeverSet {
@@ -174,6 +183,9 @@ impl fmt::Display for WorkloadError {
             }
             WorkloadError::DataAccessInSyncRegion { thread, addr } => {
                 write!(f, "data access to sync region address {addr} by {thread}")
+            }
+            WorkloadError::DataAccessPastHeap { thread, addr } => {
+                write!(f, "data access to {addr} past the data heap by {thread}")
             }
             WorkloadError::FlagNeverSet { flag } => {
                 write!(f, "flag #{flag} is waited on but never set")
@@ -367,6 +379,9 @@ impl Workload {
                         if self.layout.is_sync_region(*a) {
                             return Err(WorkloadError::DataAccessInSyncRegion { thread, addr: *a });
                         }
+                        if a.byte() / WORD_BYTES >= self.layout.data_words() {
+                            return Err(WorkloadError::DataAccessPastHeap { thread, addr: *a });
+                        }
                     }
                     Op::Lock(l) => {
                         if l.0 >= self.layout.user_locks() {
@@ -559,6 +574,17 @@ mod tests {
         assert!(matches!(
             w.validate(),
             Err(WorkloadError::DataAccessInSyncRegion { .. })
+        ));
+    }
+
+    #[test]
+    fn data_access_past_the_heap_rejected() {
+        let last = Addr::new(1023 * WORD_BYTES);
+        assert!(wl(vec![vec![Op::Write(last)]]).validate().is_ok());
+        let w = wl(vec![vec![Op::Write(last.offset_words(1))]]);
+        assert!(matches!(
+            w.validate(),
+            Err(WorkloadError::DataAccessPastHeap { .. })
         ));
     }
 

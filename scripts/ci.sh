@@ -15,10 +15,11 @@ echo "== simulator tests (debug: the ready-heap vs linear-scan cross-check is on
 # included, against the linear scan it replaced.
 cargo test -p cord-sim --quiet
 # A shared machine run answers a fork's replayed callbacks from its
-# log, and a debug assertion checks each against the callback it
-# logged; these two suites drive it through real sweeps, with metrics
-# and with failing runs.
+# stall log, and a debug assertion checks each against the callback it
+# logged; these suites drive it through real sweeps, with metrics and
+# with failing runs, and through a CORD-D fork tree on a real app.
 cargo test -p cord-bench --test observability --test fault_tolerance --quiet
+cargo test --test shared_machine_runs --quiet
 
 echo "== detector and wire tests (debug: overflow checks and debug assertions are on) =="
 # The epoch-vs-vector-clock and fast-vs-checked-decoder property tests

@@ -1,15 +1,16 @@
 //! The sweep runs the passive detectors that share a machine
 //! configuration (Ideal with InfCache, L2Cache with L1Cache) on one
 //! simulation, and runs every cell of an equal machine on one shared
-//! simulation until their bus charges differ, forking there. That must
-//! be invisible: every detection of a full sweep equals what the
-//! single-configuration path finds on a run of its own, on injected and
-//! clean runs alike.
+//! simulation until the retirement stalls their bus charges cause
+//! differ, forking there. That must be invisible: every detection of a
+//! full sweep equals what the single-configuration path finds on a run
+//! of its own, on injected and clean runs alike.
 
 use cord::core::{DetectorSink, ObsCtx, SinkObserver};
 use cord::inject::InjectionTarget;
 use cord::sim::engine::{InjectionPlan, Machine, SimError};
 use cord::sim::observer::NullObserver;
+use cord::sim::{SharedRun, SimStats};
 use cord::workloads::{kernel, AppKind};
 use cord_bench::runner::SweepRunner;
 use cord_bench::sweep::{run_seed, RunRecord, ScaleClassOpt, SweepOptions};
@@ -67,18 +68,18 @@ fn shared_machine_runs_detect_exactly_what_separate_runs_do() {
     );
 }
 
-/// The four CORD-D variants charge the bus differently, so a shared run
-/// of all four must fork; every variant must still end exactly like its
-/// own `run_stats` run.
-#[test]
-fn cord_d_variants_fork_and_each_ends_like_its_own_run() {
+/// Runs the four CORD-D variants on `app` (Small, seed 2006, run 0,
+/// the first acquire removed) as cells of one shared run and each on its
+/// own, asserts that every variant ends exactly like its own `run_stats`
+/// run, and returns the shared run's accounting, the steps of one run
+/// alone, each variant's statistics and the races they found together.
+fn cord_d_variants(app: AppKind) -> (SharedRun, u64, Vec<SimStats>, u64) {
     let opts = SweepOptions {
         scale: ScaleClassOpt::Small,
         threads: 4,
         seed: 2006,
         ..SweepOptions::default()
     };
-    let app = AppKind::Cholesky;
     let workload = kernel(app, opts.scale.into(), opts.threads, opts.seed);
     let seed = run_seed(&opts, 0);
     let plan = InjectionPlan::remove_nth(1);
@@ -92,26 +93,56 @@ fn cord_d_variants_fork_and_each_ends_like_its_own_run() {
             ObsCtx::disabled(),
         ))
     };
+    let new_machine = || Machine::new(machine.clone(), &workload, NullObserver, seed, plan);
     let mut shared = vec![None; variants.len()];
-    let run = Machine::new(machine.clone(), &workload, NullObserver, seed, plan).run_cells(
-        variants.iter().map(|&c| sink(c)).collect(),
-        |i, r| {
-            let (stats, det) = r.expect("the injected run completes");
-            shared[i] = Some((stats, det.sink().race_count()));
-        },
-    );
-    assert!(run.forks >= 1, "the variants never split: {run:?}");
+    let run = new_machine().run_cells(variants.iter().map(|&c| sink(c)).collect(), |i, r| {
+        let (stats, det) = r.expect("the injected run completes");
+        shared[i] = Some((stats, det.sink().race_count()));
+    });
+    let one = new_machine().run_cells(vec![sink(variants[0])], |_, r| {
+        r.expect("the injected run completes");
+    });
     let mut races = 0;
+    let mut stats = Vec::new();
     for (i, &config) in variants.iter().enumerate() {
         let alone = Machine::new(machine.clone(), &workload, sink(config), seed, plan);
-        let (stats, det) = alone.run_stats().expect("the injected run completes");
+        let (s, det) = alone.run_stats().expect("the injected run completes");
         races += det.sink().race_count();
         assert_eq!(
             shared[i],
-            Some((stats, det.sink().race_count())),
-            "{}",
+            Some((s.clone(), det.sink().race_count())),
+            "{app:?}, {}",
             config.label()
         );
+        stats.push(s);
+    }
+    (run, one.steps, stats, races)
+}
+
+/// At some access the four CORD-D variants stall Cholesky's machine
+/// differently, so a shared run of all four must fork; every variant
+/// must still end exactly like its own `run_stats` run.
+#[test]
+fn cord_d_variants_fork_and_each_ends_like_its_own_run() {
+    let (run, _, _, races) = cord_d_variants(AppKind::Cholesky);
+    assert!(run.forks >= 1, "the variants never split: {run:?}");
+    assert!(races > 0, "no variant found a race, so the check is weak");
+}
+
+/// On Water-N2 the CORD-D variants charge the timestamp bus differently
+/// but none ever stalls retirement, so all four share one simulation
+/// from start to finish, and each still gets its own bus accounts.
+#[test]
+fn cord_d_variants_that_never_stall_share_one_run_to_the_end() {
+    let (run, one, stats, races) = cord_d_variants(AppKind::WaterN2);
+    assert_eq!(run.forks, 0, "{run:?}");
+    assert_eq!(run.steps, one, "one run's steps");
+    for (a, sa) in stats.iter().enumerate() {
+        for sb in &stats[a + 1..] {
+            assert_eq!(sa.cycles, sb.cycles);
+            assert_ne!(sa.observer_addr_transactions, sb.observer_addr_transactions);
+            assert_ne!(sa.ts_bus_busy, sb.ts_bus_busy);
+        }
     }
     assert!(races > 0, "no variant found a race, so the check is weak");
 }
